@@ -15,10 +15,6 @@ PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 ID2 = np.eye(2, dtype=complex)
 
 
-def kron2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.kron(a, b)
-
-
 def spinor_from_bloch(s: Sequence[float]) -> np.ndarray:
     """Unit spinor (global phase fixed) with Bloch vector ``s``."""
     a, b, c = float(s[0]), float(s[1]), float(s[2])

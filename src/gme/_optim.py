@@ -67,16 +67,36 @@ def golden_section_min(
     return x, f(x)
 
 
-def golden_section_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    x, neg = golden_section_min(lambda v: -f(v), lo, hi, tol)
-    return x, -neg
+def golden_section_min_vector(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10
+) -> tuple[np.ndarray, np.ndarray]:
+    """``golden_section_min`` on many intervals ``lo <= hi`` at once.
+
+    ``f`` must be elementwise.  Each interval takes the scalar search's steps
+    and freezes once its width is at most ``tol`` (one that starts that narrow
+    returns its midpoint), so each result matches the scalar search bitwise.
+    """
+    a, b = lo, hi
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    active = b - a > tol
+    while np.any(active):
+        left = fc < fd  # the minimum lies in [a, d]
+        # a frozen interval keeps a and b; its probes are never read again
+        b = np.where(active & left, d, b)
+        a = np.where(active & ~left, c, a)
+        probe = np.where(left, b - _INV_GOLDEN * (b - a), a + _INV_GOLDEN * (b - a))
+        f_probe = f(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, f_probe, fd), np.where(left, fc, f_probe)
+        active = b - a > tol
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def max_on_sphere(
-    grid_fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    scalar_fn: Callable[[float, float, float], float],
+    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     n_polar: int = 256,
     n_azimuth: int = 512,
     n_starts: int = 8,
@@ -84,9 +104,9 @@ def max_on_sphere(
 ) -> tuple[float, tuple[float, float, float]]:
     """Maximize a smooth function of a unit vector.
 
-    ``grid_fn`` evaluates the objective on broadcast arrays of Cartesian
-    components; ``scalar_fn`` evaluates one point and is used by the
-    Nelder-Mead polish started from the best ``n_starts`` grid cells.
+    ``fn`` evaluates the objective elementwise on broadcast Cartesian
+    components: on the whole grid, then at single points in the Nelder-Mead
+    polish started from the best ``n_starts`` grid cells.
     """
     polar = np.linspace(0.0, math.pi, n_polar)
     azimuth = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
@@ -94,7 +114,7 @@ def max_on_sphere(
     ct = np.cos(polar)[:, None]
     ca = np.cos(azimuth)[None, :]
     sa = np.sin(azimuth)[None, :]
-    values = grid_fn(st * ca, st * sa, ct * np.ones_like(ca))
+    values = fn(st * ca, st * sa, ct * np.ones_like(ca))
 
     flat = np.argsort(values, axis=None)[::-1][: max(1, n_starts)]
     best_val = -math.inf
@@ -103,7 +123,7 @@ def max_on_sphere(
     def neg(x: np.ndarray) -> float:
         th, ph = float(x[0]), float(x[1])
         s = math.sin(th)
-        return -scalar_fn(s * math.cos(ph), s * math.sin(ph), math.cos(th))
+        return -float(fn(s * math.cos(ph), s * math.sin(ph), math.cos(th)))
 
     for idx in flat:
         i, j = np.unravel_index(idx, values.shape)

@@ -3,7 +3,7 @@
 Subcommands parse a state (from a JSON file or inline flags), dispatch to the
 matching solver, and print the result with 12 significant digits, or as a
 JSON record with ``--json``.  Exit codes: 0 success, 2 validation error,
-3 solver warning, 64 usage error.
+3 solver warning or solver error, 64 usage error.
 """
 
 from __future__ import annotations
@@ -152,7 +152,10 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def _oracle_config(args: argparse.Namespace) -> OracleConfig:
     seed = getattr(args, "seed", None)
     if seed is None:
-        seed = int(os.environ.get("GM_SEED", DEFAULT_SEED))
+        try:
+            seed = int(os.environ.get("GM_SEED", DEFAULT_SEED))
+        except ValueError:
+            raise ValidationError("GM_SEED must be an integer") from None
     restarts = getattr(args, "restarts", None)
     max_iters = getattr(args, "max_iters", None)
     return OracleConfig(
@@ -497,15 +500,15 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return handler(args)
-    except ValidationError as exc:
-        print(f"gm: validation error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"gm: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except json.JSONDecodeError as exc:
         print(f"gm: validation error: invalid JSON ({exc})", file=sys.stderr)
         return EXIT_VALIDATION
+    except RuntimeError as exc:
+        print(f"gm: solver error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER_WARNING
 
 
 if __name__ == "__main__":

@@ -226,11 +226,5 @@ def g_mixed_oracle(rho: np.ndarray, cfg: OracleConfig | None = None) -> float:
         m01 = 0.5 * (a0[0, 1] + sx * a1[0, 1] + sy * a2[0, 1] + sz * a3[0, 1])
         return hermitian_max_eig_2x2(m00, m11, m01)
 
-    def scalar_fn(sx: float, sy: float, sz: float) -> float:
-        m00 = 0.5 * (a0[0, 0] + sx * a1[0, 0] + sy * a2[0, 0] + sz * a3[0, 0]).real
-        m11 = 0.5 * (a0[1, 1] + sx * a1[1, 1] + sy * a2[1, 1] + sz * a3[1, 1]).real
-        m01 = 0.5 * (a0[0, 1] + sx * a1[0, 1] + sy * a2[0, 1] + sz * a3[0, 1])
-        return float(hermitian_max_eig_2x2(m00, m11, m01))
-
-    value, _ = max_on_sphere(grid_fn, scalar_fn, n_polar=256, n_azimuth=512)
+    value, _ = max_on_sphere(grid_fn, n_polar=256, n_azimuth=512)
     return float(value)

@@ -14,19 +14,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import reduced_density
-from ._optim import golden_section_max, max_on_sphere
+from ._optim import golden_section_min, max_on_sphere
 from .oracle import OracleConfig, g_mixed_oracle
-from .states import BlochVector, RankTwoCanonical, ValidationError
+from .states import BlochVector, RankTwoCanonical, ValidationError, _check_canonical_angles
 
 BRANCH_MATCH_TOL = 1e-9
-_ANGLE_TOL = 1e-12
 
 
-def _validate_angles(gamma1: float, gamma2: float) -> None:
-    if not (-_ANGLE_TOL <= gamma2 <= gamma1 + _ANGLE_TOL):
-        raise ValidationError("angles must satisfy 0 <= gamma2 <= gamma1")
-    if gamma1 > math.pi / 2 + _ANGLE_TOL or gamma1 + gamma2 > math.pi / 2 + _ANGLE_TOL:
-        raise ValidationError("angles must satisfy gamma1 <= pi/2, gamma1 + gamma2 <= pi/2")
+def _require_range(value: float, lo: float, hi: float, what: str) -> float:
+    value = float(value)
+    if not lo - 1e-12 <= value <= hi + 1e-12:
+        raise ValidationError(f"{what} must lie in [{lo:.6g}, {hi:.6g}]")
+    return min(hi, max(lo, value))
 
 
 @dataclass(frozen=True)
@@ -45,20 +44,22 @@ class TraceDecomposition:
         return self.scalar_part + float(np.linalg.norm(self.w))
 
 
-def trace_decomposition(state: RankTwoCanonical, s1) -> TraceDecomposition:
-    a, b, c = (float(v) for v in (s1.s if isinstance(s1, BlochVector) else s1))
+def _fields(state: RankTwoCanonical, a, b, c):
+    """Scalar part and second-party field (w1, w2, w3), elementwise in a, b, c."""
     sg1, cg1 = math.sin(state.gamma1), math.cos(state.gamma1)
     sg2, cg2 = math.sin(state.gamma2), math.cos(state.gamma2)
     x1, x2, x3 = state.x
     scalar = 1.0 + a * x1 * sg1 + b * x2 * sg2 + c * cg1 * cg2 + c * x3 * sg1 * sg2
-    w = np.array(
-        [
-            a * (cg2 * sg1 - x3 * cg1 * sg2) + x1 * (c * cg1 + cg2),
-            b * (-x3 * cg2 * sg1 + cg1 * sg2) + x2 * (cg1 + c * cg2),
-            b * x2 * sg1 + a * x1 * sg2 + c * x3 + x3 * cg1 * cg2 + sg1 * sg2,
-        ]
-    )
-    return TraceDecomposition(scalar_part=scalar, w=w)
+    w1 = a * (cg2 * sg1 - x3 * cg1 * sg2) + x1 * (c * cg1 + cg2)
+    w2 = b * (-x3 * cg2 * sg1 + cg1 * sg2) + x2 * (cg1 + c * cg2)
+    w3 = b * x2 * sg1 + a * x1 * sg2 + c * x3 + x3 * cg1 * cg2 + sg1 * sg2
+    return scalar, w1, w2, w3
+
+
+def trace_decomposition(state: RankTwoCanonical, s1) -> TraceDecomposition:
+    a, b, c = (float(v) for v in (s1.s if isinstance(s1, BlochVector) else s1))
+    scalar, *w = _fields(state, a, b, c)
+    return TraceDecomposition(scalar_part=scalar, w=np.array(w))
 
 
 def f_objective(state: RankTwoCanonical, s1) -> float:
@@ -68,13 +69,7 @@ def f_objective(state: RankTwoCanonical, s1) -> float:
 
 def _f_fields(state: RankTwoCanonical, a, b, c):
     """Vectorized overlap functional over broadcastable Bloch components."""
-    sg1, cg1 = math.sin(state.gamma1), math.cos(state.gamma1)
-    sg2, cg2 = math.sin(state.gamma2), math.cos(state.gamma2)
-    x1, x2, x3 = state.x
-    scalar = 1.0 + a * x1 * sg1 + b * x2 * sg2 + c * cg1 * cg2 + c * x3 * sg1 * sg2
-    w1 = a * (cg2 * sg1 - x3 * cg1 * sg2) + x1 * (c * cg1 + cg2)
-    w2 = b * (-x3 * cg2 * sg1 + cg1 * sg2) + x2 * (cg1 + c * cg2)
-    w3 = b * x2 * sg1 + a * x1 * sg2 + c * x3 + x3 * cg1 * cg2 + sg1 * sg2
+    scalar, w1, w2, w3 = _fields(state, a, b, c)
     return scalar + np.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
 
 
@@ -86,26 +81,22 @@ def _g_numeric_axis(state: RankTwoCanonical) -> float:
     meridian and only the polar component c remains free.
     """
 
-    def objective(c: float) -> float:
+    def neg_objective(c: float) -> float:
         a = math.sqrt(max(0.0, 1.0 - c * c))
-        return float(_f_fields(state, a, 0.0, c))
+        return -float(_f_fields(state, a, 0.0, c))
 
     cs = np.linspace(-1.0, 1.0, 4097)
     values = _f_fields(state, np.sqrt(np.maximum(0.0, 1.0 - cs * cs)), 0.0, cs)
     k = int(np.argmax(values))
     lo, hi = cs[max(0, k - 1)], cs[min(cs.size - 1, k + 1)]
-    _, best = golden_section_max(objective, float(lo), float(hi), tol=1e-12)
-    return 0.25 * max(best, float(values[k]))
+    _, neg_best = golden_section_min(neg_objective, float(lo), float(hi), tol=1e-12)
+    return 0.25 * max(-neg_best, float(values[k]))
 
 
 def _g_numeric_sphere(state: RankTwoCanonical) -> float:
-    def grid_fn(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return _f_fields(state, a, b, c)
-
-    def scalar_fn(a: float, b: float, c: float) -> float:
-        return float(_f_fields(state, a, b, c))
-
-    value, _ = max_on_sphere(grid_fn, scalar_fn, n_polar=256, n_azimuth=512)
+    value, _ = max_on_sphere(
+        lambda a, b, c: _f_fields(state, a, b, c), n_polar=256, n_azimuth=512
+    )
     return 0.25 * value
 
 
@@ -141,23 +132,27 @@ class ClosedFormCoefficients:
 
 @dataclass(frozen=True)
 class _ClosedFormContext:
-    """Angle-only quantities reused across many x3 evaluations."""
+    """Angle-only quantities reused across many x3 evaluations.
 
-    sg1: float
-    cg1: float
-    sg2: float
-    cg2: float
-    amp: float  # sin(gamma1) cos(gamma2)
-    damp: float  # cos(gamma1) sin(gamma2)
-    lin_low: float  # 1 + cos(gamma1 + gamma2)
-    lin_high: float  # 1 + cos(gamma1 - gamma2)
-    x3_3: float
-    x3_4: float
+    Each field is a float, or an array with one entry per subspace when the
+    angles are arrays.
+    """
+
+    sg1: np.ndarray
+    cg1: np.ndarray
+    sg2: np.ndarray
+    cg2: np.ndarray
+    amp: np.ndarray  # sin(gamma1) cos(gamma2)
+    damp: np.ndarray  # cos(gamma1) sin(gamma2)
+    lin_low: np.ndarray  # 1 + cos(gamma1 + gamma2)
+    lin_high: np.ndarray  # 1 + cos(gamma1 - gamma2)
+    x3_3: np.ndarray
+    x3_4: np.ndarray
 
     @classmethod
-    def from_angles(cls, gamma1: float, gamma2: float) -> "_ClosedFormContext":
-        sg1, cg1 = math.sin(gamma1), math.cos(gamma1)
-        sg2, cg2 = math.sin(gamma2), math.cos(gamma2)
+    def from_angles(cls, gamma1, gamma2) -> "_ClosedFormContext":
+        sg1, cg1 = np.sin(gamma1), np.cos(gamma1)
+        sg2, cg2 = np.sin(gamma2), np.cos(gamma2)
         tg2 = sg2 / cg2  # gamma2 <= pi/4 within the canonical triangle
         inner = (cg1 * cg2 + sg1 * sg1) * sg2
         den = 1.0 + cg1 * (cg2 - sg2 * (cg1 * sg2 + sg1 * sg1 * tg2))
@@ -168,37 +163,19 @@ class _ClosedFormContext:
             cg2=cg2,
             amp=sg1 * cg2,
             damp=cg1 * sg2,
-            lin_low=1.0 + math.cos(gamma1 + gamma2),
-            lin_high=1.0 + math.cos(gamma1 - gamma2),
+            lin_low=1.0 + np.cos(gamma1 + gamma2),
+            lin_high=1.0 + np.cos(gamma1 - gamma2),
             x3_3=-sg1 * (sg1 + inner) / den,
             x3_4=-sg1 * (-sg1 + inner) / den,
         )
-
-
-def _region_low(x3: float, ctx: _ClosedFormContext) -> float:
-    return 0.25 * (1.0 - x3) * ctx.lin_low
-
-
-def _region_high(x3: float, ctx: _ClosedFormContext) -> float:
-    return 0.25 * (1.0 + x3) * ctx.lin_high
-
-
-def _region_mid(x3: float, ctx: _ClosedFormContext) -> float | None:
-    shifted = ctx.amp - ctx.damp * x3
-    u1 = x3 * x3 - shifted * shifted
-    if u1 >= -1e-15:  # rational branch degenerates with the window
-        return None
-    return (1.0 - x3 * x3) * ctx.amp * shifted / (-2.0 * u1)
 
 
 def closed_form_coeffs(
     x3: float, gamma1: float, gamma2: float
 ) -> ClosedFormCoefficients:
     """Closed-form ingredients at one point of the x1 = x2 = 0 axis."""
-    _validate_angles(gamma1, gamma2)
-    if abs(x3) > 1.0 + 1e-12:
-        raise ValidationError("x3 must lie in [-1, 1]")
-    x3 = min(1.0, max(-1.0, float(x3)))
+    _check_canonical_angles(gamma1, gamma2)
+    x3 = _require_range(x3, -1.0, 1.0, "x3")
 
     ctx = _ClosedFormContext.from_angles(gamma1, gamma2)
     u = ctx.cg1 * ctx.cg2
@@ -213,21 +190,21 @@ def closed_form_coeffs(
     if u1 < 0.0:
         tg2 = ctx.sg2 / ctx.cg2
         raw = -(u2 + ctx.sg1 * u0 * (ctx.sg1 - x3 * ctx.cg1 * tg2)) / u1
-        c_bar = min(raw, 1.0)  # the maximum saturates at the sphere pole beyond 1
+        c_bar = float(min(raw, 1.0))  # the maximum saturates at the sphere pole beyond 1
 
     x3_1 = ctx.amp / (1.0 + ctx.damp)
     x3_2 = ctx.amp / (-1.0 + ctx.damp)
 
     coeffs = ClosedFormCoefficients(
-        u0=u0,
-        u1=u1,
-        u2=u2,
-        u3=u3,
+        u0=float(u0),
+        u1=float(u1),
+        u2=float(u2),
+        u3=float(u3),
         c_bar=c_bar,
-        x3_1=x3_1,
-        x3_2=x3_2,
-        x3_3=ctx.x3_3,
-        x3_4=ctx.x3_4,
+        x3_1=float(x3_1),
+        x3_2=float(x3_2),
+        x3_3=float(ctx.x3_3),
+        x3_4=float(ctx.x3_4),
     )
     _check_coeff_relations(coeffs, x3, gamma1)
     return coeffs
@@ -262,34 +239,41 @@ def g_closed_form(x3: float, gamma1: float, gamma2: float) -> float:
 
     Piecewise in x3: linear decreasing up to the lower window edge, a rational
     interior branch, then linear increasing from the upper edge.  At an edge
-    both adjacent branches are evaluated, their agreement is asserted, and the
+    both adjacent branches are evaluated, their agreement is checked, and the
     linear value is returned.
     """
-    _validate_angles(gamma1, gamma2)
-    if abs(x3) > 1.0 + 1e-12:
-        raise ValidationError("x3 must lie in [-1, 1]")
-    x3 = min(1.0, max(-1.0, float(x3)))
+    _check_canonical_angles(gamma1, gamma2)
+    x3 = _require_range(x3, -1.0, 1.0, "x3")
     ctx = _ClosedFormContext.from_angles(gamma1, gamma2)
-    return _closed_form_value(x3, ctx)
+    return float(_closed_form_value(x3, ctx))
 
 
-def _closed_form_value(x3: float, ctx: _ClosedFormContext) -> float:
-    if x3 == ctx.x3_3 or x3 == ctx.x3_4:
-        linear = _region_low(x3, ctx) if x3 == ctx.x3_3 else _region_high(x3, ctx)
-        rational = _region_mid(x3, ctx)
-        if rational is not None:
-            assert abs(rational - linear) <= BRANCH_MATCH_TOL, (
-                "branch mismatch at window edge"
-            )
-        return linear
-    if x3 < ctx.x3_3:
-        return _region_low(x3, ctx)
-    if x3 > ctx.x3_4:
-        return _region_high(x3, ctx)
-    rational = _region_mid(x3, ctx)
-    if rational is None:  # collapsed window; fall back to the nearer linear branch
-        return _region_low(x3, ctx) if x3 <= 0.0 else _region_high(x3, ctx)
-    return rational
+def _closed_form_value(x3, ctx: _ClosedFormContext) -> np.ndarray:
+    """Three-branch closed form, elementwise over x3 and the subspaces of ``ctx``.
+
+    At an exact window edge the linear value is returned once the rational
+    branch, where it exists, is checked to agree with it.
+    """
+    low = 0.25 * (1.0 - x3) * ctx.lin_low
+    high = 0.25 * (1.0 + x3) * ctx.lin_high
+    shifted = ctx.amp - ctx.damp * x3
+    u1 = x3 * x3 - shifted * shifted
+    collapsed = u1 >= -1e-15  # rational branch degenerates with the window
+    rational = (1.0 - x3 * x3) * ctx.amp * shifted / (-2.0 * np.where(collapsed, -1.0, u1))
+    at_low = x3 == ctx.x3_3
+    at_high = x3 == ctx.x3_4
+    edge = (at_low | at_high) & ~collapsed
+    if np.any(edge) and np.any(
+        edge & ~(np.abs(rational - np.where(at_low, low, high)) <= BRANCH_MATCH_TOL)
+    ):
+        raise RuntimeError("closed form: branch mismatch at window edge")
+    # first matching rule wins; a collapsed window falls back to the nearer
+    # linear branch
+    return np.select(
+        [at_low, at_high, x3 < ctx.x3_3, x3 > ctx.x3_4, collapsed & (x3 <= 0.0), collapsed],
+        [low, high, low, high, low, high],
+        rational,
+    )
 
 
 def g_from_pure_3qubit(

@@ -18,7 +18,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from ._linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z, kron2
+from ._linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 NORM_REJECT_TOL = 1e-6  # larger deviations from unit norm are user errors
 DENSE_QUBIT_CAP = 20  # dense vectors above this size are refused
@@ -116,6 +116,8 @@ class SymThreeQubitCanonical:
     def __post_init__(self) -> None:
         g, t, h = float(self.g), float(self.t), float(self.h)
         gamma = float(self.gamma)
+        if not all(map(math.isfinite, (g, t, h, gamma))):
+            raise ValidationError("g, t, h and gamma must be finite")
         if min(g, t, h) < 0.0:
             raise ValidationError("g, t, h must be non-negative")
         if not -math.pi / 2 - 1e-12 <= gamma <= math.pi / 2 + 1e-12:
@@ -130,6 +132,13 @@ class SymThreeQubitCanonical:
         object.__setattr__(self, "t", t / norm)
         object.__setattr__(self, "h", h / norm)
         object.__setattr__(self, "gamma", gamma)
+
+
+def _check_canonical_angles(g1: float, g2: float, tol: float = 1e-12) -> None:
+    if not (-tol <= g2 <= g1 + tol and g1 <= math.pi / 2 + tol):
+        raise ValidationError("angles must satisfy 0 <= gamma2 <= gamma1 <= pi/2")
+    if g1 + g2 > math.pi / 2 + tol:
+        raise ValidationError("angles must satisfy gamma1 + gamma2 <= pi/2")
 
 
 @dataclass(frozen=True)
@@ -147,20 +156,17 @@ class RankTwoCanonical:
 
     def __post_init__(self) -> None:
         g1, g2 = float(self.gamma1), float(self.gamma2)
-        tol = 1e-12
-        if not (-tol <= g2 <= g1 + tol and g1 <= math.pi / 2 + tol):
-            raise ValidationError("angles must satisfy 0 <= gamma2 <= gamma1 <= pi/2")
-        if g1 + g2 > math.pi / 2 + tol:
-            raise ValidationError("angles must satisfy gamma1 + gamma2 <= pi/2")
+        _check_canonical_angles(g1, g2)
         x = np.asarray(self.x, dtype=float).reshape(-1)
         if x.size != 3:
             raise ValidationError("x must be a 3-vector")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("x must be finite")
         if float(x @ x) > 1.0 + 1e-12:
             raise ValidationError("Bloch vector must satisfy |x| <= 1")
-        if abs(x[1]) < 1e-14:  # exact zero activates the 1-D reduction downstream
-            x = x.copy()
-            x[1] = 0.0
         x = x.copy()
+        if abs(x[1]) < 1e-14:  # exact zero activates the 1-D reduction downstream
+            x[1] = 0.0
         x.flags.writeable = False
         object.__setattr__(self, "gamma1", g1)
         object.__setattr__(self, "gamma2", g2)
@@ -302,32 +308,32 @@ def _rank2_operators(gamma1: float, gamma2: float) -> tuple[np.ndarray, ...]:
     v = math.sin(gamma1) * math.sin(gamma2)
     z1 = math.sin(gamma1) * math.cos(gamma2)
     z2 = math.cos(gamma1) * math.sin(gamma2)
-    eye4 = kron2(ID2, ID2)
+    eye4 = np.kron(ID2, ID2)
     proj = 0.5 * (
         eye4
-        + u * kron2(SIGMA_Z, ID2)
-        + v * kron2(ID2, SIGMA_Z)
-        + z1 * kron2(SIGMA_X, SIGMA_X)
-        + z2 * kron2(SIGMA_Y, SIGMA_Y)
+        + u * np.kron(SIGMA_Z, ID2)
+        + v * np.kron(ID2, SIGMA_Z)
+        + z1 * np.kron(SIGMA_X, SIGMA_X)
+        + z2 * np.kron(SIGMA_Y, SIGMA_Y)
     )
     op1 = 0.5 * (
-        math.sin(gamma1) * kron2(SIGMA_X, ID2)
-        + math.cos(gamma2) * kron2(ID2, SIGMA_X)
-        + math.sin(gamma2) * kron2(SIGMA_X, SIGMA_Z)
-        + math.cos(gamma1) * kron2(SIGMA_Z, SIGMA_X)
+        math.sin(gamma1) * np.kron(SIGMA_X, ID2)
+        + math.cos(gamma2) * np.kron(ID2, SIGMA_X)
+        + math.sin(gamma2) * np.kron(SIGMA_X, SIGMA_Z)
+        + math.cos(gamma1) * np.kron(SIGMA_Z, SIGMA_X)
     )
     op2 = 0.5 * (
-        math.sin(gamma2) * kron2(SIGMA_Y, ID2)
-        + math.cos(gamma1) * kron2(ID2, SIGMA_Y)
-        + math.sin(gamma1) * kron2(SIGMA_Y, SIGMA_Z)
-        + math.cos(gamma2) * kron2(SIGMA_Z, SIGMA_Y)
+        math.sin(gamma2) * np.kron(SIGMA_Y, ID2)
+        + math.cos(gamma1) * np.kron(ID2, SIGMA_Y)
+        + math.sin(gamma1) * np.kron(SIGMA_Y, SIGMA_Z)
+        + math.cos(gamma2) * np.kron(SIGMA_Z, SIGMA_Y)
     )
     op3 = 0.5 * (
-        v * kron2(SIGMA_Z, ID2)
-        + u * kron2(ID2, SIGMA_Z)
-        - z2 * kron2(SIGMA_X, SIGMA_X)
-        - z1 * kron2(SIGMA_Y, SIGMA_Y)
-        + kron2(SIGMA_Z, SIGMA_Z)
+        v * np.kron(SIGMA_Z, ID2)
+        + u * np.kron(ID2, SIGMA_Z)
+        - z2 * np.kron(SIGMA_X, SIGMA_X)
+        - z1 * np.kron(SIGMA_Y, SIGMA_Y)
+        + np.kron(SIGMA_Z, SIGMA_Z)
     )
     return proj, op1, op2, op3
 
@@ -356,7 +362,10 @@ def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
 
 
 def _from_complex_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
-    return np.array([complex(p[0], p[1]) for p in pairs], dtype=complex)
+    try:
+        return np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("amplitudes must be a list of [re, im] pairs") from exc
 
 
 def state_to_dict(state: StateLike) -> dict[str, Any]:

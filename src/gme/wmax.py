@@ -2,10 +2,10 @@
 
 Restricting to the x1 = x2 = 0 axis (where the overlap is smallest in each
 subspace by convexity and sign symmetry), the per-subspace minimum over x3 is
-located by golden-section search inside the window where the closed form is
-rational.  Scanning the canonical angle triangle then certifies that the
-smallest value over all subspaces is 4/9, reached by the two-qubit marginal
-of the W state.
+located inside the window where the closed form is rational, by one
+golden-section search run on arrays of grid cells at once.  Scanning the
+canonical angle triangle then certifies that the smallest value over all
+subspaces is 4/9, reached by the two-qubit marginal of the W state.
 """
 
 from __future__ import annotations
@@ -15,21 +15,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import golden_section_min
-from .rank2 import _ClosedFormContext, _closed_form_value, g_numeric
+from ._optim import golden_section_min_vector
+from .rank2 import _ClosedFormContext, _closed_form_value, _require_range, g_numeric
 from .states import RankTwoCanonical, ValidationError
 
 W_MIN = 4.0 / 9.0
 GOLDEN_TOL = 1e-10
 _QUARTER = math.pi / 4.0
 _HALF = math.pi / 2.0
-
-
-def _require_range(value: float, lo: float, hi: float, what: str) -> float:
-    value = float(value)
-    if not lo - 1e-12 <= value <= hi + 1e-12:
-        raise ValidationError(f"{what} must lie in [{lo:.6g}, {hi:.6g}]")
-    return min(hi, max(lo, value))
+_BLOCK_ROWS = 16  # gamma1 rows per batched search; whole grids cost memory, not time
 
 
 def g_symmetric_subspace(x3: float, gamma1: float) -> float:
@@ -105,23 +99,6 @@ class GlobalMinReport:
             raise ValidationError("min_g must lie in (0, 1/2]")
 
 
-def _min_over_window(ctx: _ClosedFormContext) -> tuple[float, float]:
-    lo, hi = ctx.x3_3, ctx.x3_4
-    if hi - lo <= GOLDEN_TOL:
-        x = 0.5 * (lo + hi)
-        return x, _closed_form_value(x, ctx)
-    x, value = golden_section_min(
-        lambda v: _closed_form_value(v, ctx), lo, hi, tol=GOLDEN_TOL
-    )
-    # the window can be exactly flat (Bell-pair subspace); canonicalize tied
-    # minimizers to the smallest |x3|
-    if lo < 0.0 < hi:
-        at_zero = _closed_form_value(0.0, ctx)
-        if at_zero <= value + 1e-12:
-            return 0.0, at_zero
-    return x, value
-
-
 def scan_global_min(resolution: int) -> GlobalMinReport:
     """Per-subspace minima over a grid of the canonical angle triangle.
 
@@ -129,39 +106,55 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     even resolutions the grid contains pi/4 exactly) and gamma2 over
     ``resolution`` values in [0, min(gamma1, pi/2 - gamma1)].  The minimum
     over x3 is restricted to the window between the closed form's two linear
-    branches, where the overlap is smallest, and located by golden-section
-    search.  Ties resolve to the lowest gamma1, then gamma2.
+    branches, where the overlap is smallest, and located by one golden-section
+    search over the cells of 16 gamma1 rows at a time; each cell takes the
+    steps of a scalar search, so the batching does not change the result.
+    Ties resolve to the lowest gamma1, then gamma2.
     """
+    if not isinstance(resolution, (int, np.integer)):
+        raise ValidationError("resolution must be an integer")
     if resolution < 32:
         raise ValidationError("resolution must be at least 32")
 
     gamma1_values = np.linspace(_HALF / resolution, _HALF, resolution)
-    rows = np.empty((resolution * resolution, 4))
-    best = (math.inf, 0.0, 0.0, 0.0)
-    row = 0
-    for g1 in gamma1_values:
-        g2_max = min(g1, _HALF - g1)
-        for g2 in np.linspace(0.0, g2_max, resolution):
-            ctx = _ClosedFormContext.from_angles(float(g1), float(g2))
-            x3_min, g_min = _min_over_window(ctx)
-            rows[row] = (g1, g2, x3_min, g_min)
-            row += 1
-            if g_min < best[0]:
-                best = (g_min, float(g1), float(g2), x3_min)
+    cells = np.empty((resolution * resolution, 4))
+    cells[:, 0] = np.repeat(gamma1_values, resolution)
+    # one linspace per row: a stacked linspace rounds the degenerate row
+    # gamma1 = pi/2 differently and so changes every row
+    cells[:, 1] = np.concatenate(
+        [np.linspace(0.0, min(g1, _HALF - g1), resolution) for g1 in gamma1_values]
+    )
+    block = _BLOCK_ROWS * resolution
+    for start in range(0, cells.shape[0], block):
+        rows = cells[start : start + block]
+        ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
+        lo, hi = ctx.x3_3, ctx.x3_4
+        x, value = golden_section_min_vector(
+            lambda v: _closed_form_value(v, ctx), lo, hi, tol=GOLDEN_TOL
+        )
+        # the window can be exactly flat (Bell-pair subspace); canonicalize
+        # tied minimizers to the smallest |x3|
+        straddles = (hi - lo > GOLDEN_TOL) & (lo < 0.0) & (0.0 < hi)
+        at_zero = _closed_form_value(np.where(straddles, 0.0, x), ctx)
+        snap = straddles & (at_zero <= value + 1e-12)
+        rows[:, 2] = np.where(snap, 0.0, x)
+        rows[:, 3] = np.where(snap, at_zero, value)
 
-    values = rows[:, 3]
-    above = values[values > best[0]]
-    margin = float(above.min() - best[0]) if above.size else 0.0
+    values = cells[:, 3]
+    best = int(np.argmin(values))  # the first minimal cell in row order
+    min_g = float(values[best])
+    above = values[values > min_g]
+    margin = float(above.min() - min_g) if above.size else 0.0
     spec = (
         f"{resolution}x{resolution} cells; gamma1 in (0, pi/2] step pi/(2*{resolution}), "
         f"gamma2 in [0, min(gamma1, pi/2 - gamma1)]; golden-section tol {GOLDEN_TOL:g}"
     )
     return GlobalMinReport(
-        min_g=best[0],
-        argmin=(best[1], best[2], best[3]),
+        min_g=min_g,
+        argmin=tuple(float(v) for v in cells[best, :3]),
         grid_spec=spec,
         margin=margin,
-        cells=rows,
+        cells=cells,
     )
 
 

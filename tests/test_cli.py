@@ -87,6 +87,23 @@ class TestRank2:
         assert code == 2
         assert "x1 = x2 = 0" in err
 
+    def test_non_finite_x_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "rank2", "--gamma1", "0.7", "--gamma2", "0.3", "--x", "nan,0,0"
+        )
+        assert code == 2
+        assert "finite" in err and out == ""
+
+    def test_solver_error_exits_3(self, capsys, monkeypatch):
+        edge = gme.closed_form_coeffs(0.0, 0.9, 0.3).x3_3
+        monkeypatch.setattr(gme.rank2, "BRANCH_MATCH_TOL", -1.0)
+        code, _, err = run(
+            capsys, "rank2", "--gamma1", "0.9", "--gamma2", "0.3",
+            "--x", f"0,0,{edge!r}", "--closed-form",
+        )
+        assert code == 3
+        assert err == "gm: solver error: closed form: branch mismatch at window edge\n"
+
     def test_numeric_path(self, capsys):
         code, out, _ = run(
             capsys,
@@ -185,6 +202,24 @@ class TestOracleCommand:
         a = json.loads(out_env)["result"]
         b = json.loads(out_flag)["result"]
         assert a["G"] == b["G"]
+
+    def test_non_integer_seed_env_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "pure.json"
+        gme.save_state(gme.PureState(2, np.array([1.0, 0, 0, 0])), str(path))
+        monkeypatch.setenv("GM_SEED", "abc")
+        code, _, err = run(capsys, "pure", "--file", str(path))
+        assert code == 2
+        assert "GM_SEED" in err
+
+    @pytest.mark.parametrize("amplitudes", [[1, 0, 0, 0], [[1, 0, 0]] * 4, 1.0])
+    def test_malformed_amplitudes_exit_2(self, capsys, tmp_path, amplitudes):
+        path = tmp_path / "pure.json"
+        path.write_text(
+            json.dumps({"kind": "pure", "n_qubits": 2, "amplitudes": amplitudes})
+        )
+        code, _, err = run(capsys, "pure", "--file", str(path))
+        assert code == 2
+        assert "[re, im] pairs" in err
 
     def test_warning_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(7)

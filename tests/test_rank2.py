@@ -293,6 +293,13 @@ class TestGClosedForm:
                     )
                     assert abs(closed - numeric) <= 1e-7
 
+    def test_branch_mismatch_raises_runtime_error(self, monkeypatch):
+        """The edge check is an explicit raise, kept under python -O."""
+        edge = gme.closed_form_coeffs(0.0, 0.9, 0.3).x3_3
+        monkeypatch.setattr(gme.rank2, "BRANCH_MATCH_TOL", -1.0)
+        with pytest.raises(RuntimeError, match="branch mismatch"):
+            gme.g_closed_form(edge, 0.9, 0.3)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(gme.ValidationError):
             gme.g_closed_form(1.5, 0.3, 0.1)

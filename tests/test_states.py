@@ -62,6 +62,14 @@ class TestSymThreeQubitCanonical:
         with pytest.raises(gme.ValidationError):
             gme.SymThreeQubitCanonical(0.9, 0.5, 0.5, 0.0)
 
+    @pytest.mark.parametrize("field", ["g", "t", "h", "gamma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, field, bad):
+        values = {"g": 0.8, "t": 0.2, "h": math.sqrt(0.24), "gamma": 0.3}
+        values[field] = bad
+        with pytest.raises(gme.ValidationError):
+            gme.SymThreeQubitCanonical(**values)
+
 
 class TestRankTwoCanonical:
     def test_angle_ordering(self):
@@ -75,6 +83,14 @@ class TestRankTwoCanonical:
     def test_bloch_ball(self):
         with pytest.raises(gme.ValidationError):
             gme.RankTwoCanonical(0.5, 0.2, [0.8, 0.8, 0.8])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x(self, bad):
+        for k in range(3):
+            x = [0.0, 0.0, 0.0]
+            x[k] = bad
+            with pytest.raises(gme.ValidationError):
+                gme.RankTwoCanonical(0.7, 0.3, x)
 
     def test_tiny_x2_snaps_to_zero(self):
         st = gme.RankTwoCanonical(0.5, 0.2, [0.1, 1e-15, 0.0])

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import gme
+from gme._optim import golden_section_min
+from gme.wmax import GOLDEN_TOL
 
 from conftest import rng_for
 
@@ -141,10 +143,82 @@ class TestMonotonicityInGamma2:
                 assert diff >= -1e-12
 
 
+def _scalar_window(g1, g2):
+    """Edges (x3_3, x3_4) of the rational branch, with Python floats."""
+    sg1, cg1, sg2, cg2 = math.sin(g1), math.cos(g1), math.sin(g2), math.cos(g2)
+    inner = (cg1 * cg2 + sg1 * sg1) * sg2
+    den = 1.0 + cg1 * (cg2 - sg2 * (cg1 * sg2 + sg1 * sg1 * (sg2 / cg2)))
+    return -sg1 * (sg1 + inner) / den, -sg1 * (-sg1 + inner) / den
+
+
+def _scalar_closed_form(x3, g1, g2, window):
+    """Closed form at one point, one branch test after another."""
+    x3_3, x3_4 = window
+    low = 0.25 * (1.0 - x3) * (1.0 + math.cos(g1 + g2))
+    high = 0.25 * (1.0 + x3) * (1.0 + math.cos(g1 - g2))
+    amp = math.sin(g1) * math.cos(g2)
+    shifted = amp - math.cos(g1) * math.sin(g2) * x3
+    u1 = x3 * x3 - shifted * shifted
+    if x3 == x3_3 or x3 == x3_4:
+        return low if x3 == x3_3 else high
+    if x3 < x3_3:
+        return low
+    if x3 > x3_4:
+        return high
+    if u1 >= -1e-15:
+        return low if x3 <= 0.0 else high
+    return (1.0 - x3 * x3) * amp * shifted / (-2.0 * u1)
+
+
+def _scalar_scan(resolution):
+    """Reference scan: one scalar golden-section search per cell, in row order."""
+    rows, best = [], (math.inf, 0.0, 0.0, 0.0)
+    for row_g1 in np.linspace(HALF / resolution, HALF, resolution):
+        for row_g2 in np.linspace(0.0, min(row_g1, HALF - row_g1), resolution):
+            g1, g2 = float(row_g1), float(row_g2)
+            lo, hi = window = _scalar_window(g1, g2)
+
+            def f(v):
+                return _scalar_closed_form(v, g1, g2, window)
+
+            if hi - lo <= GOLDEN_TOL:
+                x = 0.5 * (lo + hi)
+                value = f(x)
+            else:
+                x, value = golden_section_min(f, lo, hi, GOLDEN_TOL)
+                if lo < 0.0 < hi and f(0.0) <= value + 1e-12:
+                    x, value = 0.0, f(0.0)
+            rows.append((g1, g2, x, value))
+            if value < best[0]:
+                best = (value, g1, g2, x)
+    cells = np.array(rows)
+    above = cells[cells[:, 3] > best[0], 3]
+    return cells, best[0], best[1:], float(above.min() - best[0])
+
+
 class TestScanGlobalMin:
     def test_rejects_small_resolution(self):
         with pytest.raises(gme.ValidationError):
             gme.scan_global_min(16)
+
+    @pytest.mark.parametrize("resolution", [32.5, "64", None])
+    def test_rejects_non_integer_resolution(self, resolution):
+        with pytest.raises(gme.ValidationError):
+            gme.scan_global_min(resolution)
+
+    @pytest.mark.parametrize("resolution", [32, 33, 64])
+    def test_matches_scalar_search(self, resolution):
+        """The batched search reproduces one scalar search per cell.
+
+        33 has no grid point at pi/4; the gamma2 = 0 rows exercise the
+        flat-window tie rule.
+        """
+        cells, min_g, argmin, margin = _scalar_scan(resolution)
+        report = gme.scan_global_min(resolution)
+        assert np.max(np.abs(report.cells - cells)) <= 1e-12
+        assert abs(report.min_g - min_g) <= 1e-12
+        assert np.max(np.abs(np.array(report.argmin) - np.array(argmin))) <= 1e-12
+        assert abs(report.margin - margin) <= 1e-12
 
     def test_locates_w_minimum(self):
         report = gme.scan_global_min(32)
