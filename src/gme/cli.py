@@ -394,12 +394,6 @@ def _cmd_fig2(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="structured JSON output")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="solver parallelism hint; results are independent of it",
-    )
 
 
 def _add_oracle_opts(parser: argparse.ArgumentParser) -> None:

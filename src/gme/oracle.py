@@ -5,11 +5,18 @@ against: alternating single-party optimization for dense pure states, a dense
 two-angle grid for symmetric states, and an eigenvalue-reduced sphere scan for
 two-qubit mixed states.  The pure and mixed oracles deliberately use different
 algorithms so their errors are independent when cross-checked.
+
+The pure-state oracle stacks its random restarts on a leading array axis and
+updates all active restarts of a chunk in one vectorized sweep; a restart that
+converges freezes and leaves the stack.  A chunk's stacked arrays hold at most
+2**17 complex amplitudes (2 MiB), which bounds the memory a solve adds at any
+qubit count.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +40,9 @@ from .states import (
 )
 
 DEFAULT_SEED = 42
+# amplitudes in one stacked array of a chunk of pure-oracle restarts; a chunk
+# of n-qubit restarts holds max(1, _CHUNK_AMPLITUDES >> n) of them
+_CHUNK_AMPLITUDES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -45,67 +55,122 @@ class OracleConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
+        for name in ("restarts", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValidationError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
-        if not self.tol > 0.0:
-            raise ValidationError("tol must be positive")
+        tol = self.tol
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+            raise ValidationError("tol must be a number")
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise ValidationError("tol must be finite and positive")
 
 
-def _contract_except(tensor: np.ndarray, spinors: list[np.ndarray], k: int) -> np.ndarray:
-    """Contract every party's conjugate spinor into the tensor except party k."""
-    t = tensor
-    for j in sorted((j for j in range(len(spinors)) if j != k), reverse=True):
-        t = np.tensordot(t, spinors[j].conj(), axes=([j], [0]))
-    return t
+def _sweep(amplitudes: np.ndarray, spinors: np.ndarray, overlap: np.ndarray) -> np.ndarray:
+    """One Gauss-Seidel sweep, party 0 to n-1, over a stack of restarts.
+
+    ``spinors`` has shape ``(R, n, 2)`` and is updated in place; the returned
+    overlaps are each restart's last nonzero partial-contraction norm, or its
+    entry of ``overlap`` if every norm of the sweep vanished.  Every reduction
+    runs along one restart's own row, so a restart's arithmetic does not
+    depend on which other restarts share the stack.
+    """
+    count, n = spinors.shape[:2]
+    # suffixes[n-1-k]: the conjugate spinors k+1..n-1 multiplied out, shape
+    # (R, 2^(n-1-k)); each is dropped once party k is updated
+    suffixes = [np.ones((count, 1), dtype=complex)]
+    for k in range(n - 1, 0, -1):
+        column = spinors[:, k].conj()[:, :, None]
+        suffixes.append((column * suffixes[-1][:, None, :]).reshape(count, -1))
+    overlap = overlap.copy()
+    # the state with the conjugate spinors 0..k-1 contracted in, shape (R|1, 2, 2^(n-1-k))
+    m = amplitudes.reshape(1, 2, -1)
+    for k in range(n):
+        w = np.einsum("...ak,...k->...a", m, suffixes.pop())
+        norm = np.linalg.norm(w, axis=-1)
+        moved = norm > 0.0
+        spinors[moved, k] = w[moved] / norm[moved, None]
+        overlap[moved] = norm[moved]
+        if k < n - 1:
+            bra = spinors[:, k].conj()
+            absorbed = bra[:, 0, None] * m[:, 0]
+            absorbed += bra[:, 1, None] * m[:, 1]
+            m = absorbed.reshape(count, 2, -1)
+    return overlap
+
+
+def _ascend(
+    amplitudes: np.ndarray, spinors: np.ndarray, cfg: OracleConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep a stack of restarts until each converges or ``max_iters`` runs out.
+
+    A restart whose sweep gained less than ``cfg.tol`` freezes and leaves the
+    active set.  Returns the final overlaps and a converged flag per restart;
+    ``spinors`` is updated in place.
+    """
+    count = len(spinors)
+    overlap = np.zeros(count)
+    converged = np.zeros(count, dtype=bool)
+    active = np.arange(count)
+    for _ in range(cfg.max_iters):
+        stack = spinors[active]
+        previous = overlap[active]
+        current = _sweep(amplitudes, stack, previous)
+        if np.any(current < previous - 1e-12):
+            raise RuntimeError("alternating sweep decreased the overlap")
+        spinors[active] = stack
+        overlap[active] = current
+        done = current - previous < cfg.tol
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return overlap, converged
 
 
 def gm_pure_oracle(psi: PureState, cfg: OracleConfig | None = None) -> GmResult:
     """Maximal overlap of a dense pure state with product states.
 
-    Runs alternating single-party optimization: with all parties but one held
-    fixed, the optimal remaining spinor is the normalized partial contraction,
-    so every sweep increases the overlap monotonically.  Random restarts guard
-    against local maxima.
+    Runs alternating single-party optimization (the higher-order power
+    method): with all parties but one held fixed, the optimal remaining
+    spinor is the normalized partial contraction, so every sweep increases the
+    overlap monotonically.  Random restarts guard against local maxima.
+
+    The restarts are stacked on a leading axis and swept together, in chunks
+    of at most ``max(1, 2**17 >> n)`` restarts to cap the memory a sweep
+    holds.  A sweep builds each restart's suffix products of the conjugate
+    spinors once, then moves left to right, so it costs O(2^n) per restart.
+    Converged restarts freeze and leave the stack.  Restart ``k`` starts from
+    ``restart_stream(cfg.seed, k)`` and its result does not depend on the
+    chunking or on the other restarts; the first maximal restart wins.
     """
     cfg = cfg or OracleConfig()
     n = psi.n_qubits
-    tensor = psi.amplitudes.reshape((2,) * n)
-
-    best_overlap = -1.0
-    best_spinors: list[np.ndarray] | None = None
+    chunk = max(1, _CHUNK_AMPLITUDES >> n)
+    spinors = np.empty((cfg.restarts, n, 2), dtype=complex)
+    overlaps = np.empty(cfg.restarts)
     any_converged = False
 
-    for r in range(cfg.restarts):
-        stream = restart_stream(cfg.seed, r)
-        spinors = [spinor_from_bloch(stream.bloch_point()) for _ in range(n)]
-        overlap = 0.0
-        converged = False
-        for _ in range(cfg.max_iters):
-            previous = overlap
-            for k in range(n):
-                w = _contract_except(tensor, spinors, k)
-                norm = float(np.linalg.norm(w))
-                if norm > 0.0:
-                    spinors[k] = w / norm
-                    overlap = norm
-            if overlap < previous - 1e-12:
-                raise RuntimeError("alternating sweep decreased the overlap")
-            if overlap - previous < cfg.tol:
-                converged = True
-                break
-        any_converged = any_converged or converged
-        if overlap > best_overlap:
-            best_overlap = overlap
-            best_spinors = [s.copy() for s in spinors]
+    for start in range(0, cfg.restarts, chunk):
+        stop = min(start + chunk, cfg.restarts)
+        for r in range(start, stop):
+            stream = restart_stream(cfg.seed, r)
+            spinors[r] = [spinor_from_bloch(stream.bloch_point()) for _ in range(n)]
+        overlaps[start:stop], converged = _ascend(psi.amplitudes, spinors[start:stop], cfg)
+        any_converged = any_converged or bool(converged.any())
 
+    best = int(np.argmax(overlaps))
     warning = None
     if not any_converged:
         warning = f"no restart converged within {cfg.max_iters} sweeps"
-    closest = tuple(BlochVector(np.array(bloch_of_spinor(s))) for s in best_spinors)
+    closest = tuple(BlochVector(np.array(bloch_of_spinor(s))) for s in spinors[best])
     return GmResult.from_overlap(
-        best_overlap, closest_product=closest, method="oracle", warning=warning
+        float(overlaps[best]), closest_product=closest, method="oracle", warning=warning
     )
 
 

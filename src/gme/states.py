@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Sequence
@@ -368,6 +369,20 @@ def _from_complex_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
         raise ValidationError("amplitudes must be a list of [re, im] pairs") from exc
 
 
+def _integer_field(value: Any, what: str) -> int:
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real_field(value: Any, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def state_to_dict(state: StateLike) -> dict[str, Any]:
     """JSON-compatible dictionary for a state (lossless float round-trip)."""
     if isinstance(state, PureState):
@@ -409,26 +424,26 @@ def state_from_dict(data: dict[str, Any]) -> StateLike:
     try:
         if kind == "pure":
             return PureState(
-                n_qubits=int(data["n_qubits"]),
+                n_qubits=_integer_field(data["n_qubits"], "n_qubits"),
                 amplitudes=_from_complex_pairs(data["amplitudes"]),
             )
         if kind == "dicke":
             return SymmetricDickeState(
-                N=int(data["n_qubits"]),
+                N=_integer_field(data["n_qubits"], "n_qubits"),
                 amplitudes=_from_complex_pairs(data["amplitudes"]),
             )
         if kind == "sym3q":
             return SymThreeQubitCanonical(
-                g=float(data["g"]),
-                t=float(data["t"]),
-                h=float(data["h"]),
-                gamma=float(data["gamma"]),
+                **{key: _real_field(data[key], key) for key in ("g", "t", "h", "gamma")}
             )
         if kind == "rank2":
+            x = data["x"]
+            if not isinstance(x, (list, tuple, np.ndarray)):
+                raise ValidationError(f"x must be a list of three numbers, got {x!r}")
             return RankTwoCanonical(
-                gamma1=float(data["gamma1"]),
-                gamma2=float(data["gamma2"]),
-                x=[float(v) for v in data["x"]],
+                gamma1=_real_field(data["gamma1"], "gamma1"),
+                gamma2=_real_field(data["gamma2"], "gamma2"),
+                x=[_real_field(v, "x") for v in x],
             )
     except KeyError as exc:
         raise ValidationError(f"state JSON is missing field {exc}") from exc

@@ -221,6 +221,23 @@ class TestOracleCommand:
         assert code == 2
         assert "[re, im] pairs" in err
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            {"kind": "pure", "n_qubits": "abc", "amplitudes": [[1, 0]] + [[0, 0]] * 3},
+            {"kind": "pure", "n_qubits": 3.7, "amplitudes": [[1, 0]] + [[0, 0]] * 7},
+            {"kind": "sym3q", "g": [1], "t": 0.0, "h": 0.0, "gamma": 0.0},
+            {"kind": "rank2", "gamma1": 0.7, "gamma2": 0.2, "x": 5},
+        ],
+        ids=["n_qubits_text", "n_qubits_fraction", "sym3q_g_list", "rank2_x_scalar"],
+    )
+    def test_malformed_fields_exit_2(self, capsys, tmp_path, state):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state))
+        code, _, err = run(capsys, "oracle", "--file", str(path))
+        assert code == 2
+        assert "validation error" in err
+
     def test_warning_exits_3(self, capsys, tmp_path):
         rng = np.random.default_rng(7)
         amps = rng.normal(size=16) + 1j * rng.normal(size=16)

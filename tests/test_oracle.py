@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 import gme
+from gme._linalg import bloch_of_spinor, spinor_from_bloch
+from gme._rng import restart_stream
+from gme.states import BlochVector, GmResult
 
 from conftest import (
     apply_local_unitaries,
@@ -21,11 +24,33 @@ class TestOracleConfig:
         assert cfg.tol == 1e-12 and cfg.seed == 42
 
     @pytest.mark.parametrize(
-        "kwargs", [{"restarts": 0}, {"max_iters": 0}, {"tol": 0.0}, {"tol": -1.0}]
+        "kwargs",
+        [
+            {"restarts": 0},
+            {"max_iters": 0},
+            {"tol": 0.0},
+            {"tol": -1.0},
+            {"restarts": 2.5},
+            {"seed": 1.5},
+            {"max_iters": 10.0},
+            {"restarts": True},
+            {"seed": False},
+            {"tol": float("inf")},
+            {"tol": float("nan")},
+            {"tol": "1e-12"},
+        ],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(gme.ValidationError):
             gme.OracleConfig(**kwargs)
+
+    def test_numpy_integers_are_plain_ints(self):
+        cfg = gme.OracleConfig(restarts=np.int64(3), seed=np.uint64(7))
+        assert type(cfg.restarts) is int and type(cfg.seed) is int
+        psi = random_pure_state(rng_for(4050), 3)
+        assert gme.gm_pure_oracle(psi, cfg).G == gme.gm_pure_oracle(
+            psi, gme.OracleConfig(restarts=3, seed=7)
+        ).G
 
 
 class TestPureOracle:
@@ -112,6 +137,117 @@ class TestPureOracle:
             psi, gme.OracleConfig(restarts=2, max_iters=1, tol=1e-15)
         )
         assert result.warning is not None
+
+
+def _contract_except(tensor: np.ndarray, spinors: list[np.ndarray], k: int) -> np.ndarray:
+    """Contract every party's conjugate spinor into the tensor except party k."""
+    t = tensor
+    for j in sorted((j for j in range(len(spinors)) if j != k), reverse=True):
+        t = np.tensordot(t, spinors[j].conj(), axes=([j], [0]))
+    return t
+
+
+def _reference_pure_oracle(psi: gme.PureState, cfg: gme.OracleConfig) -> GmResult:
+    """The one-restart-at-a-time alternating oracle the batched sweep replaced."""
+    n = psi.n_qubits
+    tensor = psi.amplitudes.reshape((2,) * n)
+
+    best_overlap = -1.0
+    best_spinors: list[np.ndarray] | None = None
+    any_converged = False
+
+    for r in range(cfg.restarts):
+        stream = restart_stream(cfg.seed, r)
+        spinors = [spinor_from_bloch(stream.bloch_point()) for _ in range(n)]
+        overlap = 0.0
+        converged = False
+        for _ in range(cfg.max_iters):
+            previous = overlap
+            for k in range(n):
+                w = _contract_except(tensor, spinors, k)
+                norm = float(np.linalg.norm(w))
+                if norm > 0.0:
+                    spinors[k] = w / norm
+                    overlap = norm
+            if overlap < previous - 1e-12:
+                raise RuntimeError("alternating sweep decreased the overlap")
+            if overlap - previous < cfg.tol:
+                converged = True
+                break
+        any_converged = any_converged or converged
+        if overlap > best_overlap:
+            best_overlap = overlap
+            best_spinors = [s.copy() for s in spinors]
+
+    warning = None
+    if not any_converged:
+        warning = f"no restart converged within {cfg.max_iters} sweeps"
+    closest = tuple(BlochVector(np.array(bloch_of_spinor(s))) for s in best_spinors)
+    return GmResult.from_overlap(
+        best_overlap, closest_product=closest, method="oracle", warning=warning
+    )
+
+
+def _attained_overlap(psi: gme.PureState, closest_product) -> float:
+    """|<product|psi>| with the product rebuilt from its Bloch vectors."""
+    tensor = psi.amplitudes.reshape((2,) * psi.n_qubits)
+    for bloch in closest_product:
+        a, b, c = bloch.s
+        polar = math.acos(np.clip(c, -1, 1))
+        spinor = np.array(
+            [math.cos(polar / 2), np.exp(1j * math.atan2(b, a)) * math.sin(polar / 2)]
+        )
+        tensor = np.tensordot(spinor.conj(), tensor, axes=([0], [0]))
+    return float(abs(tensor))
+
+
+class TestBatchedPureOracle:
+    """The batched sweep against the per-restart loop it replaced."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_per_restart_reference(self, n):
+        psi = random_pure_state(rng_for(4800 + n), n)
+        for restarts in (1, 7, 32):
+            cfg = gme.OracleConfig(restarts=restarts, seed=n)
+            batched = gme.gm_pure_oracle(psi, cfg)
+            reference = _reference_pure_oracle(psi, cfg)
+            assert abs(batched.G_squared - reference.G_squared) <= 1e-12
+            assert batched.warning == reference.warning
+            attained = _attained_overlap(psi, batched.closest_product) ** 2
+            assert abs(attained - batched.G_squared) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n, cfg",
+        [
+            # a loose tolerance freezes restarts early, far from the optimum
+            (6, gme.OracleConfig(restarts=7, tol=1e-4, seed=11)),
+            (9, gme.OracleConfig(restarts=32, tol=1e-5, seed=12)),
+            # too few sweeps: every restart is cut off unconverged
+            (5, gme.OracleConfig(restarts=7, max_iters=3, seed=13)),
+        ],
+    )
+    def test_matches_reference_when_stopped_early(self, n, cfg):
+        psi = random_pure_state(rng_for(4900 + n), n)
+        batched = gme.gm_pure_oracle(psi, cfg)
+        reference = _reference_pure_oracle(psi, cfg)
+        assert abs(batched.G_squared - reference.G_squared) <= 1e-12
+        assert batched.warning == reference.warning
+
+    def test_best_of_independent_restarts_across_chunks(self):
+        # at n = 15 a chunk holds 4 restarts, so 9 restarts span three chunks
+        n, restarts, seed = 15, 9, 5
+        psi = random_pure_state(rng_for(4955), n)
+        batched = gme.gm_pure_oracle(psi, gme.OracleConfig(restarts=restarts, seed=seed))
+        singles = [
+            gme.gm_pure_oracle(psi, gme.OracleConfig(restarts=1, seed=seed + k))
+            for k in range(restarts)
+        ]
+        winner = int(np.argmax([single.G for single in singles]))
+        assert winner >= 4  # the winner lies outside the first chunk
+        assert batched.G == singles[winner].G
+        assert batched.warning == singles[winner].warning
+        for got, want in zip(batched.closest_product, singles[winner].closest_product):
+            assert np.array_equal(got.s, want.s)
 
 
 class TestSymmetricOracle:
