@@ -150,17 +150,15 @@ def _parse_floats(text: str, what: str) -> list[float]:
 
 
 def _oracle_config(args: argparse.Namespace) -> OracleConfig:
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if seed is None:
         try:
             seed = int(os.environ.get("GM_SEED", DEFAULT_SEED))
         except ValueError:
             raise ValidationError("GM_SEED must be an integer") from None
-    restarts = getattr(args, "restarts", None)
-    max_iters = getattr(args, "max_iters", None)
     return OracleConfig(
-        restarts=32 if restarts is None else restarts,
-        max_iters=500 if max_iters is None else max_iters,
+        restarts=32 if args.restarts is None else args.restarts,
+        max_iters=500 if args.max_iters is None else args.max_iters,
         seed=seed,
     )
 
@@ -197,9 +195,8 @@ def _cmd_sym3(args: argparse.Namespace) -> int:
             raise ValidationError("cannot renormalize the zero vector")
         g, t, h = g / norm, t / norm, h / norm
     state = SymThreeQubitCanonical(g=g, t=t, h=h, gamma=gamma)
-    cfg = _oracle_config(args)
-    result = gm_sym3q(state, cfg)
-    diagnostics = {"candidates": len(result.candidates), "oracle_seed": cfg.seed}
+    result = gm_sym3q(state)
+    diagnostics = {"candidates": len(result.candidates)}
     return _finish(state, result, started, args.json, diagnostics)
 
 
@@ -429,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="project (g, t, h) onto the normalization constraint first",
     )
     _add_common(p)
-    _add_oracle_opts(p)
     p.set_defaults(handler=_cmd_sym3)
 
     p = sub.add_parser("rank2", help="canonical two-qubit rank-two state")

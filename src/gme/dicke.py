@@ -2,7 +2,8 @@
 
 For such states the optimal symmetric product spinor can be taken real, so
 the whole problem collapses to maximizing a trigonometric polynomial of one
-mixing angle alpha in [0, pi/2].
+mixing angle alpha in [0, pi/2].  Its stationary angles are alpha = atan(t)
+for the real roots t >= 0 of a polynomial of degree at most N (``_majorana``).
 """
 
 from __future__ import annotations
@@ -12,18 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bisect_roots_vector
+from ._majorana import coefficients, real_stationary_points
 from .states import (
     BlochVector,
     GmResult,
     SymmetricDickeState,
     UnsupportedAmplitudesError,
     ValidationError,
-    sqrt_binomial,
 )
 
-GRID_POINTS_PER_QUBIT = 512
-BISECT_TOL = 1e-12
 TIE_TOL = 1e-12
 
 
@@ -54,16 +52,7 @@ def dicke_objective(state: SymmetricDickeState, alpha: float) -> float:
     amps = _require_non_negative(state)
     if not -1e-12 <= alpha <= math.pi / 2 + 1e-12:
         raise ValidationError("alpha must lie in [0, pi/2]")
-    n = state.N
-    total = 0.0
-    for m in range(n + 1):
-        total += (
-            sqrt_binomial(n, m)
-            * amps[m]
-            * math.cos(alpha) ** (n - m)
-            * math.sin(alpha) ** m
-        )
-    return total
+    return float(_objective_vector(coefficients(amps), state.N, np.asarray(alpha, dtype=float)))
 
 
 def _objective_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarray:
@@ -77,50 +66,19 @@ def _objective_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarr
     return total
 
 
-def _derivative_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarray:
-    cos_a = np.cos(alphas)
-    sin_a = np.sin(alphas)
-    total = np.zeros_like(alphas)
-    for m in range(n + 1):
-        if coeff[m] == 0.0:
-            continue
-        if m >= 1:  # guard: sin^(m-1) is singular to write down for m = 0
-            total += coeff[m] * m * cos_a ** (n - m + 1) * sin_a ** (m - 1)
-        if m <= n - 1:
-            total -= coeff[m] * (n - m) * cos_a ** (n - m - 1) * sin_a ** (m + 1)
-    return total
-
-
 def dicke_critical_points(state: SymmetricDickeState) -> list[DickeObjectiveSample]:
     """Objective samples at every stationary angle plus both endpoints.
 
-    Stationary angles are located by bracketing sign changes of the derivative
-    on a uniform grid of 512 * N points and bisecting each bracket to 1e-12.
+    The derivative of the objective is cos^N(alpha) D(tan(alpha)) with
+    D(t) = (1 + t^2) P'(t) - N t P(t) and P(t) = sum_m sqrt(C(N, m)) a_m t^m,
+    so the stationary angles are atan(t) for the real roots t >= 0 of D.  A
+    flat objective (D identically zero) is sampled at the endpoints only.
     """
     amps = _require_non_negative(state)
-    n = state.N
-    coeff = np.array([sqrt_binomial(n, m) * amps[m] for m in range(n + 1)])
-
-    grid = np.linspace(0.0, math.pi / 2, GRID_POINTS_PER_QUBIT * n)
-    deriv = _derivative_vector(coeff, n, grid)
-
-    alphas: list[float] = [0.0, math.pi / 2]
-    alphas.extend(float(a) for a in grid[deriv == 0.0])
-
-    signs = np.sign(deriv)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    if flips.size:
-        roots = bisect_roots_vector(
-            lambda a: _derivative_vector(coeff, n, a),
-            grid[flips],
-            grid[flips + 1],
-            deriv[flips],
-            tol=BISECT_TOL,
-        )
-        alphas.extend(float(a) for a in roots)
-
-    alphas = sorted(set(alphas))
-    values = _objective_vector(coeff, n, np.array(alphas))
+    coeff = coefficients(amps)
+    roots = np.arctan(real_stationary_points(coeff))
+    alphas = sorted({0.0, math.pi / 2, *roots.tolist()})
+    values = _objective_vector(coeff, state.N, np.array(alphas))
     return [DickeObjectiveSample(a, float(v)) for a, v in zip(alphas, values)]
 
 

@@ -67,7 +67,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         n = self.n_qubits
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError("n_qubits must be a positive integer")
         if n > DENSE_QUBIT_CAP:
             raise CapacityError(f"dense states are capped at {DENSE_QUBIT_CAP} qubits")
@@ -85,7 +85,7 @@ class SymmetricDickeState:
 
     def __post_init__(self) -> None:
         n = self.N
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError("N must be a positive integer")
         amps = _unit_vector(self.amplitudes, n + 1, "amplitudes")
         object.__setattr__(self, "N", int(n))

@@ -2,11 +2,12 @@
 
 The closest symmetric product state has Bloch angles (phi, theta) solving a
 three-equation stationarity system with one Lagrange multiplier.  Candidates
-come from four sources: the polar point theta = 0, one closed-form root, and
-two one-parameter families obtained by expressing theta through phi along two
-tangent branches and scanning the remaining equation for sign changes.  The
-overlap value at every candidate is evaluated in closed form, and the largest
-candidate is the answer.
+come from three sources: the polar point theta = 0, one closed-form root, and
+the stationary spinors of the full overlap, which are the roots of the
+state's Majorana stationarity polynomial (``_majorana``) together with the
+pole theta = pi.  Each spinor is assigned to the tangent branch whose
+relation it satisfies.  The overlap value at every candidate is evaluated in
+closed form, and the largest candidate is the answer.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import bisect_roots_vector
-from .oracle import OracleConfig, gm_symmetric_oracle
+from ._majorana import coefficients, stationary_spinors
+from .oracle import OracleConfig
 from .states import (
     BlochVector,
     CandidateRecord,
@@ -27,14 +28,11 @@ from .states import (
     sym3q_to_dicke,
 )
 
-SCAN_SAMPLES = 4096  # per constant-sign segment of phi
-TAIL_SAMPLES = 48  # extra log-spaced samples hugging each segment end
 RESIDUAL_TOL = 1e-8
 BRANCH_AGREE_TOL = 1e-9
 DEDUPE_TOL = 1e-9
 DEGENERATE_TOL = 1e-9  # |t - g| below this disables the closed-form root
 DENOMINATOR_TOL = 1e-12
-BOUNDARY_TOL = 1e-6  # this close to the family's edge the oracle guard kicks in
 COS_SWITCH = 1e-8  # |cos(theta)| below this switches the multiplier source
 THETA_FLOOR = 1e-6  # below this the root is the polar point, already enumerated
 
@@ -57,12 +55,14 @@ class StationaryResidual:
         return max(abs(self.r1), abs(self.r2), abs(self.r3))
 
 
-def _system_lhs(state: SymThreeQubitCanonical, phi, theta):
-    """Left-hand sides of the three stationarity equations (vectorized)."""
+def _system_lhs(
+    state: SymThreeQubitCanonical, phi: float, theta: float
+) -> tuple[float, float, float]:
+    """Left-hand sides of the three stationarity equations."""
     g, t, h, gamma = state.g, state.t, state.h, state.gamma
     cg, sg = math.cos(gamma), math.sin(gamma)
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
+    st, ct = math.sin(theta), math.cos(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
     l1 = 2 * h * t * cg + 2 * t * (g + t) * st * cp - 2 * h * t * cg * ct
     l2 = 2 * h * t * sg - 2 * t * (g - t) * st * sp - 2 * h * t * sg * ct
     l3 = (
@@ -74,35 +74,44 @@ def _system_lhs(state: SymThreeQubitCanonical, phi, theta):
     return l1, l2, l3
 
 
-def _eliminated(state: SymThreeQubitCanonical, phi, theta):
+def _eliminated(
+    state: SymThreeQubitCanonical, phi: float, theta: float
+) -> tuple[float, StationaryResidual]:
     """Multiplier and residual triple with the multiplier eliminated.
 
     The multiplier comes from the polar equation unless cos(theta) is tiny,
     in which case the first equation supplies it instead.
     """
     l1, l2, l3 = _system_lhs(state, phi, theta)
-    st, ct = np.sin(theta), np.cos(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    use_polar = np.abs(ct) > COS_SWITCH
-    safe_ct = np.where(use_polar, ct, 1.0)
-    safe_scp = np.where(use_polar, 1.0, st * cp)
-    lam = np.where(use_polar, l3 / safe_ct, l1 / safe_scp)
-    r1 = l1 - lam * st * cp
-    r2 = l2 - lam * st * sp
-    r3 = l3 - lam * ct
-    return lam, r1, r2, r3
+    st, ct = math.sin(theta), math.cos(theta)
+    cp, sp = math.cos(phi), math.sin(phi)
+    lam = l3 / ct if abs(ct) > COS_SWITCH else l1 / (st * cp)
+    return lam, StationaryResidual(l1 - lam * st * cp, l2 - lam * st * sp, l3 - lam * ct)
 
 
 def stationary_residual(
     state: SymThreeQubitCanonical, phi: float, theta: float
 ) -> StationaryResidual:
-    _, r1, r2, r3 = _eliminated(state, float(phi), float(theta))
-    return StationaryResidual(float(r1), float(r2), float(r3))
+    return _eliminated(state, float(phi), float(theta))[1]
 
 
-def _multiplier(state: SymThreeQubitCanonical, phi: float, theta: float) -> float:
-    lam, _, _, _ = _eliminated(state, float(phi), float(theta))
-    return float(lam)
+def _record(
+    state: SymThreeQubitCanonical, phi: float, theta: float, value: float, tag: CaseTag
+) -> CandidateRecord:
+    lam, residual = _eliminated(state, phi, theta)
+    return CandidateRecord(phi, theta, lam, value, tag, residual.max_abs())
+
+
+def _tangent_sides(
+    state: SymThreeQubitCanonical, phi: float, branch: str
+) -> tuple[float, float]:
+    """(top, bottom) of the branch's relation tan(theta/2) = top / bottom."""
+    sin_2phi = math.sin(2.0 * phi)
+    if branch == "A":
+        return state.g * sin_2phi, state.h * math.sin(state.gamma - phi)
+    if branch == "B":
+        return -state.t * sin_2phi, state.h * math.sin(state.gamma + phi)
+    raise ValueError("branch must be 'A' or 'B'")
 
 
 def theta_from_phi(
@@ -114,139 +123,48 @@ def theta_from_phi(
     and gamma + phi.  Returns None when the expression sits on a pole, or when
     the right-hand side is not positive so no theta in (0, pi) exists.
     """
-    sin_2phi = math.sin(2.0 * phi)
-    if branch == "A":
-        numerator = state.g
-        factor = math.sin(state.gamma - phi)
-    elif branch == "B":
-        numerator = -state.t
-        factor = math.sin(state.gamma + phi)
-    else:
-        raise ValueError("branch must be 'A' or 'B'")
-    if abs(sin_2phi) < 1e-12:  # phi at a quarter-turn: excluded azimuths
+    top, denominator = _tangent_sides(state, phi, branch)
+    if abs(math.sin(2.0 * phi)) < 1e-12:  # phi at a quarter-turn: excluded azimuths
         return None
-    denominator = state.h * factor
     if abs(denominator) < 1e-12:
         return None
-    rhs = numerator * sin_2phi / denominator
+    rhs = top / denominator
     if not rhs > 0.0:
         return None
     return 2.0 * math.atan(rhs)
 
 
-def _theta_array(
-    state: SymThreeQubitCanonical, phis: np.ndarray, branch: str
-) -> np.ndarray:
-    sin_2phi = np.sin(2.0 * phis)
-    if branch == "A":
-        numerator = state.g
-        factor = np.sin(state.gamma - phis)
-    else:
-        numerator = -state.t
-        factor = np.sin(state.gamma + phis)
-    denominator = state.h * factor
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rhs = numerator * sin_2phi / denominator
-    theta = 2.0 * np.arctan(rhs)
-    bad = (
-        (np.abs(sin_2phi) < 1e-12)
-        | (np.abs(denominator) < 1e-12)
-        | ~(rhs > 0.0)
-    )
-    theta = np.where(bad, np.nan, theta)
-    return theta
-
-
-def _scan_values(
-    state: SymThreeQubitCanonical, phis: np.ndarray, branch: str
-) -> np.ndarray:
-    """Residual of the scanned equation along one branch (NaN where invalid)."""
-    theta = _theta_array(state, phis, branch)
-    _, r1, _, r3 = _eliminated(state, phis, np.where(np.isnan(theta), 0.0, theta))
-    ct = np.cos(theta)
-    scanned = np.where(np.abs(ct) > COS_SWITCH, r1, r3)
-    return np.where(np.isnan(theta), np.nan, scanned)
-
-
-def _branch_segments(state: SymThreeQubitCanonical, branch: str) -> list[tuple[float, float]]:
-    """Open phi intervals on which the branch's sine factor keeps one sign.
-
-    Each quarter-turn is split at the zeros of sin(gamma - phi) (branch A) or
-    sin(gamma + phi) (branch B).  Near gamma = 0 the window where the branch
-    admits a polar angle shrinks to width ~|gamma|, so each piece must be
-    scanned on its own for the grid to resolve roots inside it.
-    """
-    base = state.gamma if branch == "A" else -state.gamma
-    breakpoints = sorted(
-        base + k * math.pi
-        for k in range(-2, 5)
-        if 0.0 < base + k * math.pi < _TWO_PI
-    )
-    edges = sorted(
-        set(q * math.pi / 2.0 for q in range(5)) | set(breakpoints)
-    )
-    segments = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi - lo > 1e-13:
-            segments.append((lo, hi))
-    return segments
+def _on_branch(state: SymThreeQubitCanonical, phi: float, theta: float, branch: str) -> bool:
+    """The branch's relation with cleared denominators holds at (phi, theta)."""
+    top, bottom = _tangent_sides(state, phi, branch)
+    return abs(top * math.cos(0.5 * theta) - bottom * math.sin(0.5 * theta)) <= BRANCH_AGREE_TOL
 
 
 def find_case2_roots(
     state: SymThreeQubitCanonical, branch: str
 ) -> list[tuple[float, float]]:
-    """All (phi, theta) stationary roots along one tangent branch.
+    """All (phi, theta) stationary spinors with theta > 0 tagged for one branch.
 
-    Scans every constant-sign piece of each open quarter-turn of phi with a
-    dense grid, bisects every bracketed sign change, keeps roots whose full
-    residual triple is below 1e-8, and merges duplicates closer than 1e-9 in
-    both angles.
+    The spinors are the roots of the Majorana stationarity polynomial, the
+    pole theta = pi included, each kept when its full residual triple is below
+    1e-8.  A spinor belongs to branch "B" when B's relation holds within 1e-9
+    and A's does not, and to branch "A" otherwise.  Duplicates closer than
+    1e-9 in both angles are merged.
     """
-    candidates: list[float] = []
-    pad = 1e-9  # keep off the exact poles but cover the boundary layers
-    for lo, hi in _branch_segments(state, branch):
-        if hi - lo <= 2 * pad:
-            continue
-        # stationary roots pile up within ~min(g, h, phase distance) of the
-        # segment ends, so pad the uniform grid with log-spaced tail samples
-        tail = np.geomspace(pad, 0.25 * (hi - lo), TAIL_SAMPLES)
-        phis = np.unique(
-            np.concatenate(
-                [np.linspace(lo + pad, hi - pad, SCAN_SAMPLES), lo + tail, hi - tail]
-            )
-        )
-        vals = _scan_values(state, phis, branch)
-        finite = np.isfinite(vals)
-
-        exact = np.nonzero(finite & (vals == 0.0))[0]
-        candidates.extend(float(phis[i]) for i in exact)
-
-        both = finite[:-1] & finite[1:]
-        flip = both & (np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)
-        idx = np.nonzero(flip)[0]
-        if idx.size:
-            # the scanned residual can be steep (theta moves like phi/gamma
-            # inside narrow windows), so drive brackets to machine width
-            refined = bisect_roots_vector(
-                lambda p: _scan_values(state, p, branch),
-                phis[idx],
-                phis[idx + 1],
-                vals[idx],
-                tol=0.0,
-                max_steps=110,
-            )
-            candidates.extend(float(p) for p in refined)
-
+    if branch not in ("A", "B"):
+        raise ValueError("branch must be 'A' or 'B'")
+    thetas, phis = stationary_spinors(coefficients(sym3q_to_dicke(state).amplitudes))
     accepted: list[tuple[float, float]] = []
-    for phi in candidates:
-        theta = theta_from_phi(state, phi, branch)
+    for theta, phi in zip(thetas.tolist(), (phis % _TWO_PI).tolist()):
         # the stationarity system degenerates as theta -> 0, so tiny-theta
-        # "roots" are the polar candidate in disguise; drop them here
-        if theta is None or not THETA_FLOOR < theta < math.pi:
+        # roots are the polar candidate in disguise; drop them here
+        if theta <= THETA_FLOOR:
             continue
         if stationary_residual(state, phi, theta).max_abs() > RESIDUAL_TOL:
             continue
-        accepted.append((phi % _TWO_PI, theta))
+        on_b = _on_branch(state, phi, theta, "B") and not _on_branch(state, phi, theta, "A")
+        if on_b == (branch == "B"):
+            accepted.append((phi, theta))
 
     accepted.sort()
     deduped: list[tuple[float, float]] = []
@@ -301,8 +219,9 @@ def candidate_case21(state: SymThreeQubitCanonical) -> CandidateRecord | None:
 
     Both tangent branches must produce the same theta there; the value has the
     rational closed form in (g, t, h, gamma).  Returns None when t and g are
-    degenerate, the denominator vanishes, or the verification fails (those
-    candidates are recovered by the scanned branches and the oracle guard).
+    degenerate, the denominator vanishes, or the verification fails; the
+    maximum does not depend on this root, because ``find_case2_roots``
+    enumerates every stationary spinor of the full overlap.
     """
     g, t, h, gamma = state.g, state.t, state.h, state.gamma
     if abs(t - g) <= DEGENERATE_TOL:
@@ -326,27 +245,10 @@ def candidate_case21(state: SymThreeQubitCanonical) -> CandidateRecord | None:
             continue
         if abs(theta_a - theta_b) > BRANCH_AGREE_TOL:
             continue
-        residual = stationary_residual(state, phi, theta_a)
-        if residual.max_abs() > RESIDUAL_TOL:
-            continue
-        return CandidateRecord(
-            phi=phi,
-            theta=theta_a,
-            lam=_multiplier(state, phi, theta_a),
-            G_j_squared=value,
-            case_tag=CaseTag.CASE21,
-            residual=residual.max_abs(),
-        )
+        record = _record(state, phi, theta_a, value, CaseTag.CASE21)
+        if record.residual <= RESIDUAL_TOL:
+            return record
     return None
-
-
-def _is_boundary(state: SymThreeQubitCanonical) -> bool:
-    if min(state.g, state.t, state.h) <= BOUNDARY_TOL:
-        return True
-    return any(
-        abs(state.gamma - special) <= BOUNDARY_TOL
-        for special in (0.0, math.pi / 2.0, -math.pi / 2.0)
-    )
 
 
 def gm_sym3q(
@@ -355,42 +257,23 @@ def gm_sym3q(
     """Maximal overlap of a canonical symmetric three-qubit state.
 
     Collects every stationary candidate (polar point, closed-form root, and
-    both scanned branches) and returns the largest value.  When a parameter
-    sits on the boundary of the generic regime the enumeration may be
-    incomplete, so the result is cross-checked against the symmetric oracle
-    and the oracle value is returned (tagged ``method="oracle"``) whenever it
-    is larger.
+    the stationary spinors of both tangent branches) and returns the largest
+    value.  ``cfg`` is accepted for signature symmetry with the oracles and
+    ignored: the enumeration is exact and deterministic.
     """
+    del cfg
     records: list[CandidateRecord] = [candidate_case1(state)]
     closed = candidate_case21(state)
     if closed is not None:
         records.append(closed)
     for branch, tag in (("A", CaseTag.CASE22), ("B", CaseTag.CASE23)):
-        for phi, theta in find_case2_roots(state, branch):
-            residual = stationary_residual(state, phi, theta)
-            records.append(
-                CandidateRecord(
-                    phi=phi,
-                    theta=theta,
-                    lam=_multiplier(state, phi, theta),
-                    G_j_squared=gm_candidate(state, phi, theta),
-                    case_tag=tag,
-                    residual=residual.max_abs(),
-                )
-            )
+        records += [
+            _record(state, phi, theta, gm_candidate(state, phi, theta), tag)
+            for phi, theta in find_case2_roots(state, branch)
+        ]
 
     records.sort(key=lambda r: (r.case_tag.value, r.phi))
     best = max(records, key=lambda r: r.G_j_squared)
-
-    if _is_boundary(state):
-        oracle_result = gm_symmetric_oracle(sym3q_to_dicke(state), cfg)
-        if oracle_result.G_squared > best.G_j_squared + 1e-9:
-            return GmResult.from_overlap_squared(
-                oracle_result.G_squared,
-                closest_product=oracle_result.closest_product,
-                candidates=tuple(records),
-                method="oracle",
-            )
 
     direction = BlochVector(
         np.array(

@@ -56,6 +56,13 @@ class TestSym3:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize("flag", ["--restarts", "--seed", "--max-iters"])
+    def test_oracle_flags_are_usage_errors(self, capsys, flag):
+        # gm_sym3q never runs an oracle, so sym3 takes no oracle flags
+        with pytest.raises(SystemExit) as info:
+            main(["sym3", "--g", "0", "--t", f"{W_T!r}", "--h", "0", "--gamma", "0", flag, "3"])
+        assert info.value.code == 64
+
     def test_degrees_flag(self, capsys):
         code, out, _ = run(
             capsys,

@@ -4,13 +4,86 @@ import numpy as np
 import pytest
 
 import gme
+from gme._optim import bisect_roots_vector
+from gme.dicke import _objective_vector
+from gme.states import sqrt_binomial
 
 from conftest import rng_for
+
+GRID_POINTS_PER_QUBIT = 512
+BISECT_TOL = 1e-12
 
 
 def random_nonneg_dicke(rng, n):
     amps = np.abs(rng.normal(size=n + 1))
     return gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
+
+
+# The grid-plus-bisection search that the polynomial roots replaced, kept as
+# the reference: derivative sign changes on 512 N grid points, each bisected.
+
+
+def _derivative_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarray:
+    cos_a = np.cos(alphas)
+    sin_a = np.sin(alphas)
+    total = np.zeros_like(alphas)
+    for m in range(n + 1):
+        if coeff[m] == 0.0:
+            continue
+        if m >= 1:  # guard: sin^(m-1) is singular to write down for m = 0
+            total += coeff[m] * m * cos_a ** (n - m + 1) * sin_a ** (m - 1)
+        if m <= n - 1:
+            total -= coeff[m] * (n - m) * cos_a ** (n - m - 1) * sin_a ** (m + 1)
+    return total
+
+
+def grid_critical_points(state):
+    amps = np.maximum(state.amplitudes.real, 0.0)
+    n = state.N
+    coeff = np.array([sqrt_binomial(n, m) * amps[m] for m in range(n + 1)])
+
+    grid = np.linspace(0.0, math.pi / 2, GRID_POINTS_PER_QUBIT * n)
+    deriv = _derivative_vector(coeff, n, grid)
+
+    alphas: list[float] = [0.0, math.pi / 2]
+    alphas.extend(float(a) for a in grid[deriv == 0.0])
+
+    signs = np.sign(deriv)
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    if flips.size:
+        roots = bisect_roots_vector(
+            lambda a: _derivative_vector(coeff, n, a),
+            grid[flips],
+            grid[flips + 1],
+            deriv[flips],
+            tol=BISECT_TOL,
+        )
+        alphas.extend(float(a) for a in roots)
+
+    alphas = sorted(set(alphas))
+    values = _objective_vector(coeff, n, np.array(alphas))
+    return [gme.DickeObjectiveSample(a, float(v)) for a, v in zip(alphas, values)]
+
+
+def best_sample(samples):
+    """The first sample within 1e-12 of the best value, as gm_dicke_nonneg picks it."""
+    best_value = max(s.value for s in samples)
+    return next(s for s in samples if s.value >= best_value - 1e-12)
+
+
+def loop_objective(state, alpha):
+    """The per-term loop ``dicke_objective`` evaluated before it shared the vector kernel."""
+    amps = np.maximum(state.amplitudes.real, 0.0)
+    n = state.N
+    total = 0.0
+    for m in range(n + 1):
+        total += (
+            sqrt_binomial(n, m)
+            * amps[m]
+            * math.cos(alpha) ** (n - m)
+            * math.sin(alpha) ** m
+        )
+    return total
 
 
 class TestObjective:
@@ -37,6 +110,13 @@ class TestObjective:
         st = gme.SymmetricDickeState(2, [0.6, 0.8, 0.0])
         with pytest.raises(gme.ValidationError):
             gme.dicke_objective(st, 2.0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_term_loop(self, seed):
+        rng = rng_for(550 + seed)
+        st = random_nonneg_dicke(rng, int(rng.integers(1, 21)))
+        for alpha in np.linspace(0.0, math.pi / 2, 33):
+            assert abs(gme.dicke_objective(st, float(alpha)) - loop_objective(st, alpha)) <= 1e-15
 
     @pytest.mark.parametrize("seed", range(5))
     def test_non_negative_objective(self, seed):
@@ -123,3 +203,30 @@ class TestGmDickeNonneg:
         assert any(
             abs(s.alpha - math.atan(1 / math.sqrt(2))) <= 1e-10 for s in interior
         )
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_flat_objective_keeps_the_endpoints(self, n):
+        # c_m = C(n/2, m/2) for even m makes the objective (cos^2 + sin^2)^(n/2),
+        # flat; n = 2 is (|D_0> + |D_2>) / sqrt(2) with G^2 = 1/2
+        coeff = np.array([math.comb(n // 2, m // 2) if m % 2 == 0 else 0 for m in range(n + 1)])
+        amps = coeff / np.sqrt([math.comb(n, m) for m in range(n + 1)])
+        st = gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
+        samples = gme.dicke_critical_points(st)
+        assert [s.alpha for s in samples] == [0.0, math.pi / 2]
+        result = gme.gm_dicke_nonneg(st)
+        assert result.G_squared == pytest.approx(st.amplitudes[0].real ** 2, abs=1e-15)
+        assert np.allclose(result.closest_product[0].s, [0.0, 0.0, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_matches_grid_bisection_reference(self, n):
+        rng = rng_for(2200 + n)
+        for sparse in (False, True):
+            amps = np.abs(rng.normal(size=n + 1))
+            if sparse:
+                amps[rng.random(n + 1) < 0.4] = 0.0
+                amps[int(rng.integers(0, n + 1))] = 1.0
+            st = gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
+            reference = best_sample(grid_critical_points(st))
+            chosen = best_sample(gme.dicke_critical_points(st))
+            assert abs(chosen.alpha - reference.alpha) <= 1e-9
+            assert abs(chosen.value - reference.value) <= 1e-13

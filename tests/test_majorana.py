@@ -1,0 +1,69 @@
+import math
+
+import numpy as np
+import pytest
+
+import gme
+from gme._majorana import coefficients, real_stationary_points, stationary_spinors
+
+from conftest import rng_for
+
+
+def random_symmetric(rng, n):
+    amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    return gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
+
+
+def overlap_sq(state, theta, phi):
+    """|<a^(x)N|psi>|^2 for a = cos(theta/2)|0> + e^(i phi) sin(theta/2)|1>, summed directly."""
+    n = state.N
+    total = sum(
+        state.amplitudes[m]
+        * math.sqrt(math.comb(n, m))
+        * math.cos(theta / 2) ** (n - m)
+        * (np.exp(-1j * phi) * math.sin(theta / 2)) ** m
+        for m in range(n + 1)
+    )
+    return abs(total) ** 2
+
+
+def sphere_gradient(state, theta, phi, step=1e-6):
+    """Norm of the overlap's gradient on the Bloch sphere, by central differences."""
+    d_theta = overlap_sq(state, theta + step, phi) - overlap_sq(state, theta - step, phi)
+    d_phi = overlap_sq(state, theta, phi + step) - overlap_sq(state, theta, phi - step)
+    return math.hypot(d_theta, d_phi / math.sin(theta)) / (2 * step)
+
+
+class TestStationarySpinors:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_every_spinor_is_stationary(self, n):
+        for seed in range(4):
+            st = random_symmetric(rng_for(2000 + 10 * n + seed), n)
+            thetas, phis = stationary_spinors(coefficients(st.amplitudes))
+            assert thetas.size > 0
+            for theta, phi in zip(thetas, phis):
+                assert sphere_gradient(st, theta, phi) <= 1e-7
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_best_spinor_matches_symmetric_oracle(self, n):
+        st = random_symmetric(rng_for(2100 + n), n)
+        thetas, phis = stationary_spinors(coefficients(st.amplitudes))
+        best = max(overlap_sq(st, theta, phi) for theta, phi in zip(thetas, phis))
+        assert best == pytest.approx(gme.gm_symmetric_oracle(st).G_squared, abs=1e-9)
+
+    def test_single_coefficient_takes_the_real_route(self):
+        # |D_2> of three qubits: the overlap depends on |w| only, peaking at tan(theta/2) = sqrt(2)
+        thetas, phis = stationary_spinors(coefficients(np.array([0.0, 0.0, 1.0, 0.0])))
+        assert np.any(np.abs(thetas - 2 * math.atan(math.sqrt(2.0))) <= 1e-12)
+        assert np.all(phis == 0.0)
+
+
+class TestRealStationaryPoints:
+    def test_flat_objective_has_none(self):
+        coeff = coefficients(np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))
+        assert real_stationary_points(coeff).size == 0
+
+    def test_single_term_closed_form(self):
+        # sqrt(3) cos^2 sin peaks at tan(alpha) = 1/sqrt(2)
+        roots = real_stationary_points(coefficients(np.array([0.0, 1.0, 0.0, 0.0])))
+        assert np.any(np.abs(roots - 1 / math.sqrt(2.0)) <= 1e-12)

@@ -31,6 +31,10 @@ class TestPureState:
         with pytest.raises(ValueError):
             st.amplitudes[0] = 0.5
 
+    def test_rejects_bool_qubit_count(self):
+        with pytest.raises(gme.ValidationError, match="n_qubits"):
+            gme.PureState(True, np.array([1.0, 0.0]))
+
 
 class TestSymmetricDickeState:
     def test_non_negative_flag(self):
@@ -43,6 +47,10 @@ class TestSymmetricDickeState:
     def test_rejects_norm(self):
         with pytest.raises(gme.ValidationError):
             gme.SymmetricDickeState(2, [1.0, 1.0, 0.0])
+
+    def test_rejects_bool_qubit_count(self):
+        with pytest.raises(gme.ValidationError, match="N must"):
+            gme.SymmetricDickeState(True, [1.0, 0.0])
 
 
 class TestSymThreeQubitCanonical:

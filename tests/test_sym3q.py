@@ -232,3 +232,81 @@ class TestGmSym3q:
         for gamma in (1e-3, -1e-3, 1e-4, -1e-4):
             st = gme.SymThreeQubitCanonical(g, t, h, gamma)
             assert abs(gme.gm_sym3q(st).G_squared - base) <= 1e-3
+
+
+def _boundary_family():
+    """States on every edge of the generic family: gamma at 0 and +-pi/2, h = 0, t = g."""
+    states = []
+    for seed in range(3):
+        base = random_generic_canonical(rng_for(1800 + seed))
+        g, t, h = base.g, base.t, base.h
+        states += [
+            gme.SymThreeQubitCanonical(g, t, h, gamma)
+            for gamma in (0.0, math.pi / 2, -math.pi / 2)
+        ]
+        norm = math.sqrt(g * g + 3.0 * t * t)
+        states.append(gme.SymThreeQubitCanonical(g / norm, t / norm, 0.0, base.gamma))
+        # t = g with the old h-to-g ratio kept
+        scale = 1.0 / math.sqrt(4.0 * g * g + h * h)
+        states.append(gme.SymThreeQubitCanonical(g * scale, g * scale, h * scale, base.gamma))
+    return states
+
+
+def _near_w_family():
+    """The W class perturbed by g and h down to 1e-14, where the overlap barely depends on phi."""
+    states = []
+    for eps in (1e-2, 1e-5, 1e-8, 1e-11, 1e-13, 1e-14):
+        for g, h, gamma in ((eps, 0.0, 0.0), (eps, 3.0 * eps, 0.3), (0.0, eps, -1.1)):
+            t = math.sqrt((1.0 - g * g - h * h) / 3.0)
+            states.append(gme.SymThreeQubitCanonical(g, t, h, gamma))
+    return states
+
+
+def _small_t_family():
+    """t -> 0, where the best spinor sits next to a pole."""
+    states = []
+    for t in (1e-2, 1e-4, 1e-6, 1e-9, 0.0):
+        for g, gamma in ((0.2, 0.0), (0.6, 0.7), (0.9, -1.3)):
+            states.append(
+                gme.SymThreeQubitCanonical(g, t, math.sqrt(1.0 - g * g - 3.0 * t * t), gamma)
+            )
+    return states
+
+
+class TestMajoranaEnumeration:
+    def test_equatorial_maximum(self):
+        """A generic state whose maximum the phi scan of the old enumeration missed."""
+        st = gme.SymThreeQubitCanonical(
+            0.5227084256378395, 0.49057867532759486, 0.06909118401560443, -1.2138940369977465
+        )
+        result = gme.gm_sym3q(st)
+        assert result.G_squared == pytest.approx(0.5113515536516, abs=1e-9)
+        assert result.method == "sym3q"
+
+    @pytest.mark.parametrize(
+        "family", [_boundary_family, _near_w_family, _small_t_family],
+        ids=["boundary", "near_w", "small_t"],
+    )
+    def test_agrees_with_symmetric_oracle(self, family):
+        for st in family():
+            result = gme.gm_sym3q(st)
+            brute = gme.gm_symmetric_oracle(sym3q_to_dicke(st)).G_squared
+            assert result.method == "sym3q"
+            assert abs(result.G_squared - brute) <= 1e-9, st
+
+    @pytest.mark.parametrize("g, h", [(0.2, math.sqrt(0.96)), (0.0, 1.0)])
+    def test_pole_is_a_candidate(self, g, h):
+        # t = 0 leaves g|000> + h e^(i gamma)|111>, best at the pole theta = pi
+        st = gme.SymThreeQubitCanonical(g, 0.0, h, 0.4)
+        assert any(theta == pytest.approx(math.pi, abs=1e-12) for _, theta in
+                   gme.find_case2_roots(st, "A") + gme.find_case2_roots(st, "B"))
+        assert gme.gm_sym3q(st).G_squared == pytest.approx(h * h, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_branch_a_roots_lie_on_its_tangent_curve(self, seed):
+        st = random_generic_canonical(rng_for(1900 + seed))
+        roots = gme.find_case2_roots(st, "A")
+        assert roots
+        for phi, theta in roots:
+            expected = gme.theta_from_phi(st, phi, "A")
+            assert expected is not None and abs(expected - theta) <= 1e-8
