@@ -52,14 +52,3 @@ def reduced_density(
     dim = 2 ** len(keep_sorted)
     return rho.reshape(dim, dim)
 
-
-def hermitian_max_eig_2x2(
-    m00: np.ndarray, m11: np.ndarray, m01: np.ndarray
-) -> np.ndarray:
-    """Largest eigenvalue of Hermitian [[m00, m01], [conj(m01), m11]].
-
-    Accepts scalars or broadcastable arrays; m00/m11 must be real.
-    """
-    half_sum = 0.5 * (m00 + m11)
-    half_diff = 0.5 * (m00 - m11)
-    return half_sum + np.sqrt(half_diff * half_diff + np.abs(m01) ** 2)

@@ -1,4 +1,4 @@
-"""Bracketing, bisection, golden-section, and sphere-scan utilities."""
+"""Bracketing, bisection, golden-section, and two-sphere ascent utilities."""
 
 from __future__ import annotations
 
@@ -6,9 +6,14 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize  # re-exported for the symmetric oracle's polish
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SPHERE_GRID = (64, 128)  # polar x azimuth cells; polar midpoints, as a pole cell repeats
+SPHERE_STARTS = 8  # best cells that ascend
+SPHERE_ROUNDS = 50  # cap on ascent rounds
+SPHERE_GAIN_TOL = 1e-15  # the ascent ends once no start gains this much in a round
+SPHERE_UPDATES = 3  # alternating updates per round, from each start and its Newton step
 
 
 def bisect_roots_vector(
@@ -95,49 +100,61 @@ def golden_section_min_vector(
     return x, f(x)
 
 
-def max_on_sphere(
-    fn: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    n_polar: int = 256,
-    n_azimuth: int = 512,
-    n_starts: int = 8,
-    xatol: float = 1e-10,
-) -> tuple[float, tuple[float, float, float]]:
-    """Maximize a smooth function of a unit vector.
+def _unit(field: np.ndarray, previous: np.ndarray) -> np.ndarray:
+    """Rows of ``field`` normalized; a vanishing row keeps its row of ``previous``."""
+    norm = np.linalg.norm(field, axis=-1, keepdims=True)
+    return np.where(norm > 0.0, field / np.where(norm > 0.0, norm, 1.0), previous)
 
-    ``fn`` evaluates the objective elementwise on broadcast Cartesian
-    components: on the whole grid, then at single points in the Nelder-Mead
-    polish started from the best ``n_starts`` grid cells.
+
+def _newton_step(s1: np.ndarray, a, b, t) -> np.ndarray:
+    """Newton step per row for ``a.s1 + |b + T^T s1|`` on the unit sphere.
+
+    Solves ``[[H - lam I, s1], [s1^T, 0]]``, ``lam = s1.grad``; a zero field's terms drop.
     """
-    polar = np.linspace(0.0, math.pi, n_polar)
-    azimuth = np.linspace(0.0, 2.0 * math.pi, n_azimuth, endpoint=False)
-    st = np.sin(polar)[:, None]
-    ct = np.cos(polar)[:, None]
-    ca = np.cos(azimuth)[None, :]
-    sa = np.sin(azimuth)[None, :]
-    values = fn(st * ca, st * sa, ct * np.ones_like(ca))
+    w = b + s1 @ t
+    norm = np.linalg.norm(w, axis=-1)[:, None, None]
+    norm = np.where(norm > 0.0, norm, np.inf)
+    q = (w @ t.T)[:, :, None] / norm
+    grad = a[:, None] + q
+    lam = np.sum(s1[:, :, None] * grad, axis=1, keepdims=True)
+    system = np.zeros((len(s1), 4, 4))
+    system[:, :3, :3] = (t @ t.T - q * q.transpose(0, 2, 1)) / norm - lam * np.eye(3)
+    system[:, :3, 3] = system[:, 3, :3] = s1
+    step = np.linalg.pinv(system)[:, :3, :3] @ (lam * s1[:, :, None] - grad)
+    return _unit(s1 + step[:, :, 0], s1)
 
-    flat = np.argsort(values, axis=None)[::-1][: max(1, n_starts)]
-    best_val = -math.inf
-    best_angles = (0.0, 0.0)
 
-    def neg(x: np.ndarray) -> float:
-        th, ph = float(x[0]), float(x[1])
-        s = math.sin(th)
-        return -float(fn(s * math.cos(ph), s * math.sin(ph), math.cos(th)))
+def max_on_sphere(m: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Maximize ``(1, s1)^T M (1, s2)`` over unit vectors; returns (value, (s1, s2)).
 
-    for idx in flat:
-        i, j = np.unravel_index(idx, values.shape)
-        start = np.array([polar[i], azimuth[j]])
-        res = minimize(
-            neg,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": xatol, "fatol": 1e-14, "maxiter": 600},
-        )
-        if -res.fun > best_val:
-            best_val = -res.fun
-            best_angles = (float(res.x[0]), float(res.x[1]))
-    th, ph = best_angles
-    s = math.sin(th)
-    direction = (s * math.cos(ph), s * math.sin(ph), math.cos(th))
-    return best_val, direction
+    With ``c0, b, a, T = M[0,0], M[0,1:], M[1:,0], M[1:,1:]`` the best ``s2``
+    lies along ``b + T^T s1``, so ``c0 + a.s1 + |b + T^T s1|`` is scanned on a
+    grid.  The best cells ascend by alternating updates ``s2 <- unit(b + T^T
+    s1)``, ``s1 <- unit(a + T s2)`` (the two-party higher-order power method),
+    from ``s1`` and from two Newton steps on it, keeping the higher end: near
+    a circle of maxima the updates alone creep, and one Newton step leaves a
+    curved ridge.  No update lowers the value; a vanishing field keeps the
+    previous vector.  ``m`` is a real 4x4 array.
+    """
+    c0, b, a, t = m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:]
+    polar = (np.arange(SPHERE_GRID[0]) + 0.5).repeat(SPHERE_GRID[1]) * (math.pi / SPHERE_GRID[0])
+    azimuth = np.linspace(0.0, 2.0 * math.pi, SPHERE_GRID[1], endpoint=False)
+    ring = np.sin(polar) * np.exp(1j * np.tile(azimuth, SPHERE_GRID[0]))
+    grid = np.column_stack([ring.real, ring.imag, np.cos(polar)])
+    scan = c0 + grid @ a + np.linalg.norm(b + grid @ t, axis=-1)
+    starts = np.argsort(scan)[::-1][:SPHERE_STARTS]
+    s1, value, count = grid[starts], scan[starts], len(starts)
+    s2 = np.tile((0.0, 0.0, 1.0), (2 * count, 1))  # kept only where its field vanishes
+    for _ in range(SPHERE_ROUNDS):
+        s1 = np.concatenate([s1, _newton_step(_newton_step(s1, a, b, t), a, b, t)])
+        for _ in range(SPHERE_UPDATES):
+            s2 = _unit(b + s1 @ t, s2)
+            s1 = _unit(a + s2 @ t.T, s1)
+        ends = c0 + s1 @ a + s2 @ b + np.sum((s1 @ t) * s2, axis=-1)
+        keep = np.where(ends[count:] > ends[:count], np.arange(count, 2 * count), np.arange(count))
+        s1, s2 = s1[keep], np.concatenate([s2[keep]] * 2)
+        gain, value = ends[keep] - value, ends[keep]
+        if np.all(gain < SPHERE_GAIN_TOL):
+            break
+    best = int(np.argmax(value))
+    return float(value[best]), (s1[best], s2[best])

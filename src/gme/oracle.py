@@ -2,9 +2,9 @@
 
 These are the reference implementations every analytic solver is checked
 against: alternating single-party optimization for dense pure states, a dense
-two-angle grid for symmetric states, and an eigenvalue-reduced sphere scan for
-two-qubit mixed states.  The pure and mixed oracles deliberately use different
-algorithms so their errors are independent when cross-checked.
+two-angle grid for symmetric states, and for two-qubit mixed states the
+bilinear ascent of ``max_on_sphere`` on the Pauli components of the density
+matrix, which shares only the optimizer with the rank-two functional.
 
 The pure-state oracle stacks its random restarts on a leading array axis and
 updates all active restarts of a chunk in one vectorized sweep; a restart that
@@ -20,15 +20,9 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
-from ._linalg import (
-    PAULIS,
-    bloch_of_spinor,
-    hermitian_max_eig_2x2,
-    spinor_from_bloch,
-)
-from ._optim import max_on_sphere
+from ._linalg import ID2, PAULIS, bloch_of_spinor, spinor_from_bloch
+from ._optim import max_on_sphere, minimize
 from ._rng import restart_stream
 from .states import (
     BlochVector,
@@ -255,26 +249,20 @@ def gm_symmetric_oracle(
     )
 
 
-def _conditional_blocks(rho: np.ndarray) -> list[np.ndarray]:
-    """2x2 blocks A_k with Tr_1[rho (P x I)] = (A_0 + sum_i s_i A_i) / 2."""
-    r = rho.reshape(2, 2, 2, 2)
-    blocks = [np.einsum("ikil->kl", r)]
-    for pauli in PAULIS:
-        blocks.append(np.einsum("ikjl,ji->kl", r, pauli))
-    return blocks
-
-
 def g_mixed_oracle(rho: np.ndarray, cfg: OracleConfig | None = None) -> float:
     """Maximum of tr[rho (rho_1 x rho_2)] over pure product states.
 
-    For a fixed first-party Bloch vector the optimum over the second party is
-    the largest eigenvalue of the conditional 2x2 operator, leaving a smooth
-    two-variable maximization over the sphere.
+    With ``rho_k = (I + s_k.sigma) / 2`` the overlap is a quarter of the
+    bilinear form ``(1, s1)^T M (1, s2)`` with
+    ``M_mn = tr[rho (sigma_m x sigma_n)]`` over ``(I, X, Y, Z)``, maximized by
+    the grid scan and alternating ascent of ``max_on_sphere``.
     """
-    del cfg  # deterministic grid scan; kept for signature symmetry
+    del cfg  # deterministic; kept for signature symmetry
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValidationError("expected a 4x4 two-qubit density matrix")
+    if not np.all(np.isfinite(rho)):
+        raise ValidationError("density matrix entries must be finite")
     if float(np.max(np.abs(rho - rho.conj().T))) > 1e-8:
         raise ValidationError("density matrix must be Hermitian")
     if abs(float(np.trace(rho).real) - 1.0) > 1e-8:
@@ -283,13 +271,6 @@ def g_mixed_oracle(rho: np.ndarray, cfg: OracleConfig | None = None) -> float:
     if float(eigenvalues.min()) < -1e-8:
         raise ValidationError("density matrix must be positive semidefinite")
 
-    a0, a1, a2, a3 = _conditional_blocks(rho)
-
-    def grid_fn(sx: np.ndarray, sy: np.ndarray, sz: np.ndarray) -> np.ndarray:
-        m00 = 0.5 * (a0[0, 0] + sx * a1[0, 0] + sy * a2[0, 0] + sz * a3[0, 0]).real
-        m11 = 0.5 * (a0[1, 1] + sx * a1[1, 1] + sy * a2[1, 1] + sz * a3[1, 1]).real
-        m01 = 0.5 * (a0[0, 1] + sx * a1[0, 1] + sy * a2[0, 1] + sz * a3[0, 1])
-        return hermitian_max_eig_2x2(m00, m11, m01)
-
-    value, _ = max_on_sphere(grid_fn, n_polar=256, n_azimuth=512)
-    return float(value)
+    basis = np.array([ID2, *PAULIS])
+    m = np.einsum("ikjl,mji,nlk->mn", rho.reshape(2, 2, 2, 2), basis, basis).real
+    return 0.25 * max_on_sphere(m)[0]

@@ -1,20 +1,21 @@
 """Maximal product overlap g for canonical two-qubit rank-two states.
 
-Exposes three routes of increasing specialization: the sphere maximization of
-the overlap functional (``g_numeric``), the closed-form three-branch formula
-on the x1 = x2 = 0 axis (``g_closed_form``), and the reduction of a pure
+Exposes three routes of increasing specialization: the bilinear ascent of the
+overlap functional (``g_numeric``), the closed-form three-branch formula on
+the x1 = x2 = 0 axis (``g_closed_form``), and the reduction of a pure
 three-qubit state to its two-qubit marginal (``g_from_pure_3qubit``).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._linalg import reduced_density
-from ._optim import golden_section_min, max_on_sphere
+from ._optim import max_on_sphere
 from .oracle import OracleConfig, g_mixed_oracle
 from .states import BlochVector, RankTwoCanonical, ValidationError, _check_canonical_angles
 
@@ -67,45 +68,15 @@ def f_objective(state: RankTwoCanonical, s1) -> float:
     return trace_decomposition(state, s1).value
 
 
-def _f_fields(state: RankTwoCanonical, a, b, c):
-    """Vectorized overlap functional over broadcastable Bloch components."""
-    scalar, w1, w2, w3 = _fields(state, a, b, c)
-    return scalar + np.sqrt(w1 * w1 + w2 * w2 + w3 * w3)
-
-
-def _g_numeric_axis(state: RankTwoCanonical) -> float:
-    """One-variable maximization, valid for x2 = 0 and x1 >= 0.
-
-    There the functional is even in the second Bloch component and
-    non-decreasing in the first, so the maximum lies on the a >= 0, b = 0
-    meridian and only the polar component c remains free.
-    """
-
-    def neg_objective(c: float) -> float:
-        a = math.sqrt(max(0.0, 1.0 - c * c))
-        return -float(_f_fields(state, a, 0.0, c))
-
-    cs = np.linspace(-1.0, 1.0, 4097)
-    values = _f_fields(state, np.sqrt(np.maximum(0.0, 1.0 - cs * cs)), 0.0, cs)
-    k = int(np.argmax(values))
-    lo, hi = cs[max(0, k - 1)], cs[min(cs.size - 1, k + 1)]
-    _, neg_best = golden_section_min(neg_objective, float(lo), float(hi), tol=1e-12)
-    return 0.25 * max(-neg_best, float(values[k]))
-
-
-def _g_numeric_sphere(state: RankTwoCanonical) -> float:
-    value, _ = max_on_sphere(
-        lambda a, b, c: _f_fields(state, a, b, c), n_polar=256, n_azimuth=512
-    )
-    return 0.25 * value
-
-
 def g_numeric(state: RankTwoCanonical) -> float:
-    """Best product overlap by direct maximization of the overlap functional."""
-    x1, x2, _ = state.x
-    if x2 == 0.0 and x1 >= 0.0:
-        return _g_numeric_axis(state)
-    return _g_numeric_sphere(state)
+    """Best product overlap: a quarter of the overlap functional's maximum.
+
+    The functional is bilinear in the Bloch vectors; its matrix has row 0
+    ``_fields`` at the origin and row ``i`` the change at the unit vector ``e_i``.
+    """
+    rows = np.array([_fields(state, *e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))])
+    rows[1:] -= rows[0]
+    return 0.25 * max_on_sphere(rows)[0]
 
 
 @dataclass(frozen=True)
@@ -286,6 +257,8 @@ def g_from_pure_3qubit(
     """
     if psi.n_qubits != 3:
         raise ValidationError("expected a three-qubit pure state")
+    if isinstance(traced_party, bool) or not isinstance(traced_party, numbers.Integral):
+        raise ValidationError("traced_party must be an integer")
     if traced_party not in (0, 1, 2):
         raise ValidationError("traced_party must be 0, 1, or 2")
     keep = tuple(i for i in range(3) if i != traced_party)

@@ -301,6 +301,18 @@ class TestMixedOracle:
         with pytest.raises(gme.ValidationError):
             gme.g_mixed_oracle(bad)  # not Hermitian
 
+    def test_rejects_nan_entry(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[1, 2] = rho[2, 1] = math.nan
+        with pytest.raises(gme.ValidationError, match="finite"):
+            gme.g_mixed_oracle(rho)
+
+    def test_rejects_infinite_entry(self):
+        rho = np.eye(4, dtype=complex) / 4
+        rho[0, 3] = rho[3, 0] = math.inf
+        with pytest.raises(gme.ValidationError, match="finite"):
+            gme.g_mixed_oracle(rho)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_consistency_triangle(self, seed):
         """Squared pure-state overlap equals the marginal overlap, every pair."""

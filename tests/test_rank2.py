@@ -333,6 +333,9 @@ class TestGFromPure3Qubit:
         psi3 = gme.PureState(3, np.eye(8)[0])
         with pytest.raises(gme.ValidationError):
             gme.g_from_pure_3qubit(psi3, 4)
+        for party in (True, 1.0, "1", None):
+            with pytest.raises(gme.ValidationError):
+                gme.g_from_pure_3qubit(psi3, party)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_party_independence(self, seed):
