@@ -2,8 +2,11 @@
 
 Subcommands parse a state (from a JSON file or inline flags), dispatch to the
 matching solver, and print the result with 12 significant digits, or as a
-JSON record with ``--json``.  Exit codes: 0 success, 2 validation error,
-3 solver warning or solver error, 64 usage error.
+JSON record with ``--json``.  The solvers that apply to each state kind are
+listed once, in ``_ROUTES``: ``crosscheck`` runs them all, ``oracle`` and
+``pure`` only the kind's oracle.  Exit codes: 0 success, 2 validation error
+(including unreadable or non-UTF-8 files and unwritable outputs), 3 solver
+warning or solver error, 64 usage error.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -39,6 +42,7 @@ from .states import (
     dicke_to_dense,
     load_state,
     rank2_to_matrix,
+    state_kind,
     state_to_dict,
     sym3q_to_dicke,
 )
@@ -67,24 +71,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """Everything one invocation reports: echoed input, result, and timing."""
-
-    input_echo: dict[str, Any]
-    result: GmResult
-    wall_time_ms: float
-    solver_diagnostics: dict[str, Any]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "input": self.input_echo,
-            "result": _result_to_dict(self.result),
-            "wall_time_ms": self.wall_time_ms,
-            "diagnostics": self.solver_diagnostics,
-        }
-
-
 def _result_to_dict(result: GmResult) -> dict[str, Any]:
     return {
         "G": result.G,
@@ -111,35 +97,39 @@ def _sig(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _print_record(record: OutputRecord, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(record.to_dict()))
-        return
-    result = record.result
-    print(f"method      : {result.method}")
-    print(f"G           = {_sig(result.G)}")
-    print(f"G^2         = {_sig(result.G_squared)}")
-    print(f"E_G         = {_sig(result.E_G)}")
-    for bloch in result.closest_product[:1]:
-        comps = ", ".join(_sig(float(v)) for v in bloch.s)
-        print(f"closest Bloch vector (per party): ({comps})")
-    if result.candidates:
-        print(f"candidates  : {len(result.candidates)} (see --json for the trail)")
-    if result.warning:
-        print(f"warning     : {result.warning}")
-    print(f"wall time   : {_sig(record.wall_time_ms)} ms")
-
-
 def _finish(state: StateLike, result: GmResult, started: float, as_json: bool,
             diagnostics: dict[str, Any] | None = None) -> int:
-    record = OutputRecord(
-        input_echo=state_to_dict(state),
-        result=result,
-        wall_time_ms=(time.perf_counter() - started) * 1e3,
-        solver_diagnostics=diagnostics or {},
-    )
-    _print_record(record, as_json)
+    wall_time_ms = (time.perf_counter() - started) * 1e3
+    if as_json:
+        record = {
+            "input": state_to_dict(state),
+            "result": _result_to_dict(result),
+            "wall_time_ms": wall_time_ms,
+            "diagnostics": diagnostics or {},
+        }
+        print(json.dumps(record))
+    else:
+        print(f"method      : {result.method}")
+        print(f"G           = {_sig(result.G)}")
+        print(f"G^2         = {_sig(result.G_squared)}")
+        print(f"E_G         = {_sig(result.E_G)}")
+        for bloch in result.closest_product[:1]:
+            comps = ", ".join(_sig(float(v)) for v in bloch.s)
+            print(f"closest Bloch vector (per party): ({comps})")
+        if result.candidates:
+            print(f"candidates  : {len(result.candidates)} (see --json for the trail)")
+        if result.warning:
+            print(f"warning     : {result.warning}")
+        print(f"wall time   : {_sig(wall_time_ms)} ms")
     return EXIT_SOLVER_WARNING if result.warning else EXIT_OK
+
+
+def _load(args: argparse.Namespace) -> StateLike:
+    """The state in ``--file``; it must be of kind ``args.kind`` unless that is None."""
+    state = load_state(args.file)
+    if args.kind is not None and state_kind(state) != args.kind:
+        raise ValidationError(f"gm {args.command} expects a state of kind {args.kind!r}")
+    return state
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -156,15 +146,58 @@ def _oracle_config(args: argparse.Namespace) -> OracleConfig:
             seed = int(os.environ.get("GM_SEED", DEFAULT_SEED))
         except ValueError:
             raise ValidationError("GM_SEED must be an integer") from None
-    return OracleConfig(
-        restarts=32 if args.restarts is None else args.restarts,
-        max_iters=500 if args.max_iters is None else args.max_iters,
-        seed=seed,
-    )
+    return OracleConfig(restarts=args.restarts, max_iters=args.max_iters, seed=seed)
 
 
 def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
+
+
+def _pure_routes(state: PureState, cfg: OracleConfig) -> dict[str, Route]:
+    routes: dict[str, Route] = {"pure_oracle": lambda: gm_pure_oracle(state, cfg)}
+    if state.n_qubits == 3:
+        for party in range(3):
+            routes[f"pair_reduction_{party}"] = partial(g_from_pure_3qubit, state, party, cfg)
+    return routes
+
+
+def _dicke_routes(state: SymmetricDickeState, cfg: OracleConfig) -> dict[str, Route]:
+    routes: dict[str, Route] = {}
+    if state.non_negative:
+        routes["dicke"] = lambda: gm_dicke_nonneg(state)
+    routes["symmetric_oracle"] = lambda: gm_symmetric_oracle(state, cfg)
+    routes["pure_oracle"] = lambda: gm_pure_oracle(dicke_to_dense(state), cfg)
+    return routes
+
+
+def _sym3q_routes(state: SymThreeQubitCanonical, cfg: OracleConfig) -> dict[str, Route]:
+    dicke = sym3q_to_dicke(state)
+    return {
+        "sym3q": lambda: gm_sym3q(state, cfg),
+        **_dicke_routes(dicke, cfg),
+        "pair_reduction": lambda: g_from_pure_3qubit(dicke_to_dense(dicke), 2, cfg),
+    }
+
+
+def _rank2_routes(state: RankTwoCanonical, cfg: OracleConfig) -> dict[str, Route]:
+    routes: dict[str, Route] = {}
+    if state.x[0] == 0.0 and state.x[1] == 0.0:
+        x3 = float(state.x[2])
+        routes["rank2_closed"] = partial(g_closed_form, x3, state.gamma1, state.gamma2)
+    routes["rank2_numeric"] = lambda: g_numeric(state)
+    routes["mixed_oracle"] = lambda: g_mixed_oracle(rank2_to_matrix(state), cfg)
+    return routes
+
+
+# kind -> (its oracle's route name, a function giving every solver route that
+# applies: lazy calls in crosscheck order returning a GmResult or G^2 alone)
+Route = Callable[[], GmResult | float]
+_ROUTES: dict[str, tuple[str, Callable[[Any, OracleConfig], dict[str, Route]]]] = {
+    "pure": ("pure_oracle", _pure_routes),
+    "dicke": ("symmetric_oracle", _dicke_routes),
+    "sym3q": ("symmetric_oracle", _sym3q_routes),
+    "rank2": ("mixed_oracle", _rank2_routes),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +208,7 @@ def _angle(value: float, degrees: bool) -> float:
 def _cmd_dicke(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.file:
-        state = load_state(args.file)
-        if not isinstance(state, SymmetricDickeState):
-            raise ValidationError("gm dicke expects a state of kind 'dicke'")
+        state = _load(args)
     else:
         amps = _parse_floats(args.amps, "--amps")
         state = SymmetricDickeState(N=len(amps) - 1, amplitudes=np.array(amps))
@@ -210,87 +241,35 @@ def _cmd_rank2(args: argparse.Namespace) -> int:
         gamma2=_angle(args.gamma2, args.deg),
         x=np.array(x),
     )
-    if args.closed_form:
-        if not (state.x[0] == 0.0 and state.x[1] == 0.0):
-            raise ValidationError("--closed-form requires x1 = x2 = 0")
-        g_value = g_closed_form(float(state.x[2]), state.gamma1, state.gamma2)
-        method = "rank2_closed"
-    else:
-        g_value = g_numeric(state)
-        method = "rank2_numeric"
-    result = GmResult.from_overlap_squared(g_value, method=method)
+    method = "rank2_closed" if args.closed_form else "rank2_numeric"
+    route = _rank2_routes(state, OracleConfig()).get(method)
+    if route is None:
+        raise ValidationError("--closed-form requires x1 = x2 = 0")
+    result = GmResult.from_overlap_squared(route(), method=method)
     return _finish(state, result, started, args.json)
-
-
-def _cmd_pure(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    state = load_state(args.file)
-    if not isinstance(state, PureState):
-        raise ValidationError("gm pure expects a state of kind 'pure'")
-    cfg = _oracle_config(args)
-    result = gm_pure_oracle(state, cfg)
-    diagnostics = {"restarts": cfg.restarts, "max_iters": cfg.max_iters, "seed": cfg.seed}
-    return _finish(state, result, started, args.json, diagnostics)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    state = load_state(args.file)
+    state = _load(args)
     cfg = _oracle_config(args)
-    if isinstance(state, PureState):
-        result = gm_pure_oracle(state, cfg)
-    elif isinstance(state, SymmetricDickeState):
-        result = gm_symmetric_oracle(state, cfg)
-    elif isinstance(state, SymThreeQubitCanonical):
-        result = gm_symmetric_oracle(sym3q_to_dicke(state), cfg)
-    elif isinstance(state, RankTwoCanonical):
-        g_value = g_mixed_oracle(rank2_to_matrix(state), cfg)
-        result = GmResult.from_overlap_squared(g_value, method="oracle")
-    else:  # pragma: no cover - state_from_dict already rejects unknown kinds
-        raise ValidationError("unsupported state kind")
+    oracle, routes = _ROUTES[state_kind(state)]
+    result = routes(state, cfg)[oracle]()
+    if not isinstance(result, GmResult):  # the mixed oracle returns G^2 alone
+        result = GmResult.from_overlap_squared(result, method="oracle")
     diagnostics = {"restarts": cfg.restarts, "max_iters": cfg.max_iters, "seed": cfg.seed}
     return _finish(state, result, started, args.json, diagnostics)
 
 
-def _crosscheck_solvers(state: StateLike, cfg: OracleConfig) -> dict[str, float]:
-    """G^2 from every solver applicable to the given state."""
-    values: dict[str, float] = {}
-    if isinstance(state, SymmetricDickeState):
-        if state.non_negative:
-            values["dicke"] = gm_dicke_nonneg(state).G_squared
-        values["symmetric_oracle"] = gm_symmetric_oracle(state, cfg).G_squared
-        values["pure_oracle"] = gm_pure_oracle(dicke_to_dense(state), cfg).G_squared
-    elif isinstance(state, SymThreeQubitCanonical):
-        values["sym3q"] = gm_sym3q(state, cfg).G_squared
-        dicke = sym3q_to_dicke(state)
-        if dicke.non_negative:
-            values["dicke"] = gm_dicke_nonneg(dicke).G_squared
-        values["symmetric_oracle"] = gm_symmetric_oracle(dicke, cfg).G_squared
-        psi = dicke_to_dense(dicke)
-        values["pure_oracle"] = gm_pure_oracle(psi, cfg).G_squared
-        values["pair_reduction"] = g_from_pure_3qubit(psi, 2, cfg)
-    elif isinstance(state, RankTwoCanonical):
-        if state.x[0] == 0.0 and state.x[1] == 0.0:
-            values["rank2_closed"] = g_closed_form(
-                float(state.x[2]), state.gamma1, state.gamma2
-            )
-        values["rank2_numeric"] = g_numeric(state)
-        values["mixed_oracle"] = g_mixed_oracle(rank2_to_matrix(state), cfg)
-    elif isinstance(state, PureState):
-        values["pure_oracle"] = gm_pure_oracle(state, cfg).G_squared
-        if state.n_qubits == 3:
-            for party in range(3):
-                values[f"pair_reduction_{party}"] = g_from_pure_3qubit(
-                    state, party, cfg
-                )
-    return values
-
-
 def _cmd_crosscheck(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    state = load_state(args.file)
+    state = _load(args)
     cfg = _oracle_config(args)
-    values = _crosscheck_solvers(state, cfg)
+    routes = _ROUTES[state_kind(state)][1](state, cfg)
+    values = {}
+    for name, route in routes.items():
+        value = route()
+        values[name] = value.G_squared if isinstance(value, GmResult) else value
     names = sorted(values)
     deltas = {
         f"{a} vs {b}": abs(values[a] - values[b])
@@ -393,16 +372,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", action="store_true", help="structured JSON output")
 
 
-def _add_oracle_opts(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--restarts", type=int, default=None, help="oracle restarts")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="oracle seed (default GM_SEED or 42)"
-    )
-    parser.add_argument(
-        "--max-iters", type=int, default=None, help="sweep cap per oracle restart"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="gm", description="geometric measure of entanglement")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
@@ -412,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--file", help="state JSON of kind 'dicke'")
     group.add_argument("--amps", help="comma-separated real amplitudes a0,a1,...")
     _add_common(p)
-    p.set_defaults(handler=_cmd_dicke)
+    p.set_defaults(handler=_cmd_dicke, kind="dicke")
 
     p = sub.add_parser("sym3", help="canonical symmetric three-qubit state")
     p.add_argument("--g", type=float, required=True)
@@ -441,23 +410,23 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_rank2)
 
-    p = sub.add_parser("pure", help="dense pure state (alternating oracle)")
-    p.add_argument("--file", required=True, help="state JSON of kind 'pure'")
-    _add_common(p)
-    _add_oracle_opts(p)
-    p.set_defaults(handler=_cmd_pure)
-
-    p = sub.add_parser("oracle", help="brute-force solver for any state JSON")
-    p.add_argument("--file", required=True, help="state JSON of any kind")
-    _add_common(p)
-    _add_oracle_opts(p)
-    p.set_defaults(handler=_cmd_oracle)
-
-    p = sub.add_parser("crosscheck", help="run every applicable solver and compare")
-    p.add_argument("--file", required=True, help="state JSON of any kind")
-    _add_common(p)
-    _add_oracle_opts(p)
-    p.set_defaults(handler=_cmd_crosscheck)
+    for name, kind, handler, text in (
+        ("pure", "pure", _cmd_oracle, "dense pure state (alternating oracle)"),
+        ("oracle", None, _cmd_oracle, "brute-force solver for any state JSON"),
+        ("crosscheck", None, _cmd_crosscheck, "run every applicable solver and compare"),
+    ):
+        p = sub.add_parser(name, help=text)
+        what = "any kind" if kind is None else f"kind {kind!r}"
+        p.add_argument("--file", required=True, help=f"state JSON of {what}")
+        _add_common(p)
+        p.add_argument("--restarts", type=int, default=32, help="oracle restarts")
+        p.add_argument(
+            "--seed", type=int, default=None, help="oracle seed (default GM_SEED or 42)"
+        )
+        p.add_argument(
+            "--max-iters", type=int, default=500, help="sweep cap per oracle restart"
+        )
+        p.set_defaults(handler=handler, kind=kind)
 
     p = sub.add_parser("wmax-scan", help="per-subspace minimum scan")
     p.add_argument("--resolution", type=int, default=64)
@@ -467,13 +436,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", help="overlap curves over x3 for four subspaces (CSV)")
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
     p.set_defaults(handler=_cmd_fig1)
 
     p = sub.add_parser("fig2", help="per-subspace minimum surface (CSV)")
     p.add_argument("--resolution", type=int, default=64)
     p.add_argument("--out", required=True, help="output CSV path")
-    _add_common(p)
     p.set_defaults(handler=_cmd_fig2)
 
     return parser
@@ -490,7 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         return handler(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"gm: validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except json.JSONDecodeError as exc:

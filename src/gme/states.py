@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from ._linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 NORM_REJECT_TOL = 1e-6  # larger deviations from unit norm are user errors
 DENSE_QUBIT_CAP = 20  # dense vectors above this size are refused
+DICKE_QUBIT_CAP = 2000  # the Dicke kernel overflows from N = 2048, sqrt(C(N, m)) from 2054
 
 
 class ValidationError(ValueError):
@@ -30,7 +31,7 @@ class ValidationError(ValueError):
 
 
 class CapacityError(ValidationError):
-    """A dense representation would exceed the qubit cap."""
+    """An input exceeds a documented size cap (qubits, Dicke N, scan resolution)."""
 
 
 class UnsupportedAmplitudesError(ValidationError):
@@ -87,6 +88,8 @@ class SymmetricDickeState:
         n = self.N
         if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise ValidationError("N must be a positive integer")
+        if n > DICKE_QUBIT_CAP:
+            raise CapacityError(f"Dicke states are capped at N = {DICKE_QUBIT_CAP}")
         amps = _unit_vector(self.amplitudes, n + 1, "amplitudes")
         object.__setattr__(self, "N", int(n))
         object.__setattr__(self, "amplitudes", amps)
@@ -362,11 +365,11 @@ def _complex_pairs(arr: np.ndarray) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in arr]
 
 
-def _from_complex_pairs(pairs: Sequence[Sequence[float]]) -> np.ndarray:
+def _from_complex_pairs(pairs: Any, what: str) -> np.ndarray:
     try:
         return np.array([complex(re, im) for re, im in pairs], dtype=complex)
     except (TypeError, ValueError) as exc:
-        raise ValidationError("amplitudes must be a list of [re, im] pairs") from exc
+        raise ValidationError(f"{what} must be a list of [re, im] pairs") from exc
 
 
 def _integer_field(value: Any, what: str) -> int:
@@ -383,36 +386,43 @@ def _real_field(value: Any, what: str) -> float:
     return float(value)
 
 
+def _three_reals(value: Any, what: str) -> list[float]:
+    if not isinstance(value, (list, tuple, np.ndarray)):
+        raise ValidationError(f"{what} must be a list of three numbers, got {value!r}")
+    return [_real_field(v, what) for v in value]
+
+
+# Each kind's dataclass and JSON fields in output order, as (JSON key,
+# attribute, encoder, decoder); a decoder takes the JSON value and its key.
+_AMPLITUDES = ("amplitudes", "amplitudes", _complex_pairs, _from_complex_pairs)
+_KINDS: dict[str, tuple[type, tuple[tuple[str, str, Callable, Callable], ...]]] = {
+    "pure": (PureState, (("n_qubits", "n_qubits", int, _integer_field), _AMPLITUDES)),
+    "dicke": (SymmetricDickeState, (("n_qubits", "N", int, _integer_field), _AMPLITUDES)),
+    "sym3q": (SymThreeQubitCanonical, tuple(
+        (key, key, float, _real_field) for key in ("g", "t", "h", "gamma")
+    )),
+    "rank2": (RankTwoCanonical, (
+        ("gamma1", "gamma1", float, _real_field),
+        ("gamma2", "gamma2", float, _real_field),
+        ("x", "x", np.ndarray.tolist, _three_reals),
+    )),
+}
+_KIND_OF_TYPE = {cls: kind for kind, (cls, _) in _KINDS.items()}
+
+
+def state_kind(state: StateLike) -> str:
+    """The JSON ``kind`` string of a state object."""
+    try:
+        return _KIND_OF_TYPE[type(state)]
+    except KeyError:
+        raise ValidationError(f"{type(state).__name__} is not a state kind") from None
+
+
 def state_to_dict(state: StateLike) -> dict[str, Any]:
     """JSON-compatible dictionary for a state (lossless float round-trip)."""
-    if isinstance(state, PureState):
-        return {
-            "kind": "pure",
-            "n_qubits": state.n_qubits,
-            "amplitudes": _complex_pairs(state.amplitudes),
-        }
-    if isinstance(state, SymmetricDickeState):
-        return {
-            "kind": "dicke",
-            "n_qubits": state.N,
-            "amplitudes": _complex_pairs(state.amplitudes),
-        }
-    if isinstance(state, SymThreeQubitCanonical):
-        return {
-            "kind": "sym3q",
-            "g": state.g,
-            "t": state.t,
-            "h": state.h,
-            "gamma": state.gamma,
-        }
-    if isinstance(state, RankTwoCanonical):
-        return {
-            "kind": "rank2",
-            "gamma1": state.gamma1,
-            "gamma2": state.gamma2,
-            "x": [float(v) for v in state.x],
-        }
-    raise ValidationError(f"cannot serialize object of type {type(state).__name__}")
+    kind = state_kind(state)
+    fields = _KINDS[kind][1]
+    return {"kind": kind, **{key: enc(getattr(state, attr)) for key, attr, enc, _ in fields}}
 
 
 def state_from_dict(data: dict[str, Any]) -> StateLike:
@@ -421,33 +431,13 @@ def state_from_dict(data: dict[str, Any]) -> StateLike:
         kind = data["kind"]
     except (TypeError, KeyError):
         raise ValidationError("state JSON must be an object with a 'kind' field")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(f"unknown state kind {kind!r}")
+    cls, fields = _KINDS[kind]
     try:
-        if kind == "pure":
-            return PureState(
-                n_qubits=_integer_field(data["n_qubits"], "n_qubits"),
-                amplitudes=_from_complex_pairs(data["amplitudes"]),
-            )
-        if kind == "dicke":
-            return SymmetricDickeState(
-                N=_integer_field(data["n_qubits"], "n_qubits"),
-                amplitudes=_from_complex_pairs(data["amplitudes"]),
-            )
-        if kind == "sym3q":
-            return SymThreeQubitCanonical(
-                **{key: _real_field(data[key], key) for key in ("g", "t", "h", "gamma")}
-            )
-        if kind == "rank2":
-            x = data["x"]
-            if not isinstance(x, (list, tuple, np.ndarray)):
-                raise ValidationError(f"x must be a list of three numbers, got {x!r}")
-            return RankTwoCanonical(
-                gamma1=_real_field(data["gamma1"], "gamma1"),
-                gamma2=_real_field(data["gamma2"], "gamma2"),
-                x=[_real_field(v, "x") for v in x],
-            )
+        return cls(**{attr: dec(data[key], key) for key, attr, _, dec in fields})
     except KeyError as exc:
         raise ValidationError(f"state JSON is missing field {exc}") from exc
-    raise ValidationError(f"unknown state kind {kind!r}")
 
 
 def load_state(path: str) -> StateLike:

@@ -17,13 +17,14 @@ import numpy as np
 
 from ._optim import golden_section_min_vector
 from .rank2 import _ClosedFormContext, _closed_form_value, _require_range, g_numeric
-from .states import RankTwoCanonical, ValidationError
+from .states import CapacityError, RankTwoCanonical, ValidationError
 
 W_MIN = 4.0 / 9.0
 GOLDEN_TOL = 1e-10
 _QUARTER = math.pi / 4.0
 _HALF = math.pi / 2.0
 _BLOCK_ROWS = 16  # gamma1 rows per batched search; whole grids cost memory, not time
+RESOLUTION_CAP = 1024  # the scan holds resolution^2 x 4 floats: 32 MiB at the cap
 
 
 def g_symmetric_subspace(x3: float, gamma1: float) -> float:
@@ -115,6 +116,8 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
         raise ValidationError("resolution must be an integer")
     if resolution < 32:
         raise ValidationError("resolution must be at least 32")
+    if resolution > RESOLUTION_CAP:
+        raise CapacityError(f"resolution is capped at {RESOLUTION_CAP}")
 
     gamma1_values = np.linspace(_HALF / resolution, _HALF, resolution)
     cells = np.empty((resolution * resolution, 4))

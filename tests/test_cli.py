@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import gme
+from gme import cli
 from gme.cli import main
 
 W_T = 1.0 / math.sqrt(3.0)
@@ -30,6 +31,12 @@ class TestUsageErrors:
 
     def test_no_subcommand(self, capsys):
         assert main([]) == 64
+
+    @pytest.mark.parametrize("command", ["fig1", "fig2"])
+    def test_figure_json_flag_removed(self, capsys, tmp_path, command):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--out", str(tmp_path / "fig.csv"), "--json"])
+        assert info.value.code == 64
 
 
 class TestSym3:
@@ -143,6 +150,12 @@ class TestDicke:
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "dicke", "--file", "/nonexistent/state.json")
         assert code == 2
+
+    def test_qubit_cap_exit_2(self, capsys):
+        cap = gme.states.DICKE_QUBIT_CAP
+        code, out, err = run(capsys, "dicke", "--amps", ",".join(["1"] * (cap + 2)))
+        assert code == 2 and out == ""
+        assert err == f"gm: validation error: Dicke states are capped at N = {cap}\n"
 
 
 class TestJsonRoundTrip:
@@ -307,3 +320,142 @@ class TestFigures:
         code, _, _ = run(capsys, "fig2", "--resolution", "32", "--out", str(fig2_path))
         assert code == 0
         assert fig2_path.read_text().splitlines()[1:] == grid_lines[1:]
+
+
+class TestInputErrors:
+    """Unreadable inputs and unwritable outputs are validation errors."""
+
+    def test_directory_as_state_file(self, capsys, tmp_path):
+        code, out, err = run(capsys, "oracle", "--file", str(tmp_path))
+        assert code == 2 and out == ""
+        assert err.startswith("gm: validation error: ")
+
+    def test_non_utf8_state_file(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_bytes(b'{"kind": "\xff"}')
+        code, out, err = run(capsys, "oracle", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("gm: validation error: 'utf-8' codec can't decode")
+
+    def test_scan_output_under_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, "wmax-scan", "--resolution", "32", "--out", str(blocker / "sub")
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("gm: validation error: ")
+
+    def test_figure_output_under_a_file(self, capsys, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, out, err = run(capsys, "fig1", "--out", str(blocker / "x.csv"))
+        assert code == 2 and out == ""
+        assert err.startswith("gm: validation error: ")
+
+    @pytest.mark.parametrize("command", ["wmax-scan", "fig2"])
+    def test_resolution_cap_exit_2(self, capsys, tmp_path, command):
+        cap = gme.wmax.RESOLUTION_CAP
+        code, out, err = run(
+            capsys, command, "--resolution", str(cap + 1), "--out", str(tmp_path / "o")
+        )
+        assert code == 2 and out == ""
+        assert err == f"gm: validation error: resolution is capped at {cap}\n"
+
+    def test_dicke_qubit_cap_from_file(self, capsys, tmp_path):
+        cap = gme.states.DICKE_QUBIT_CAP
+        path = tmp_path / "dicke.json"
+        amps = [[1.0 / math.sqrt(cap + 2), 0.0]] * (cap + 2)
+        path.write_text(json.dumps({"kind": "dicke", "n_qubits": cap + 1, "amplitudes": amps}))
+        code, out, err = run(capsys, "oracle", "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == f"gm: validation error: Dicke states are capped at N = {cap}\n"
+
+    @pytest.mark.parametrize(
+        "command, state, expected",
+        [
+            ("pure", gme.SymmetricDickeState(3, [0, 1, 0, 0]), "pure"),
+            ("dicke", gme.SymThreeQubitCanonical(0.0, W_T, 0.0, 0.0), "dicke"),
+        ],
+    )
+    def test_wrong_kind_exit_2(self, capsys, tmp_path, command, state, expected):
+        path = tmp_path / "state.json"
+        gme.save_state(state, str(path))
+        code, out, err = run(capsys, command, "--file", str(path))
+        assert code == 2 and out == ""
+        assert err == (
+            f"gm: validation error: gm {command} expects a state of kind '{expected}'\n"
+        )
+
+
+class TestRoutes:
+    """The solver routes of each state kind, by crosscheck name and in order."""
+
+    CFG = gme.OracleConfig()
+
+    @pytest.mark.parametrize(
+        "state, names",
+        [
+            (gme.PureState(2, [1, 0, 0, 0]), ["pure_oracle"]),
+            (
+                gme.PureState(3, [1, 0, 0, 0, 0, 0, 0, 0]),
+                ["pure_oracle", "pair_reduction_0", "pair_reduction_1", "pair_reduction_2"],
+            ),
+            (
+                gme.SymmetricDickeState(3, [0, 1, 0, 0]),
+                ["dicke", "symmetric_oracle", "pure_oracle"],
+            ),
+            (
+                gme.SymmetricDickeState(2, [0.6, 0.8j, 0]),
+                ["symmetric_oracle", "pure_oracle"],
+            ),
+            (
+                gme.SymThreeQubitCanonical(0.0, W_T, 0.0, 0.0),
+                ["sym3q", "dicke", "symmetric_oracle", "pure_oracle", "pair_reduction"],
+            ),
+            (
+                gme.SymThreeQubitCanonical(0.8, 0.2, math.sqrt(0.24), 0.3),
+                ["sym3q", "symmetric_oracle", "pure_oracle", "pair_reduction"],
+            ),
+            (
+                gme.RankTwoCanonical(0.7, 0.3, [0, 0, -0.4]),
+                ["rank2_closed", "rank2_numeric", "mixed_oracle"],
+            ),
+            (
+                gme.RankTwoCanonical(0.7, 0.2, [0.3, 0.2, -0.4]),
+                ["rank2_numeric", "mixed_oracle"],
+            ),
+        ],
+        ids=[
+            "pure_n2", "pure_n3", "dicke_nonneg", "dicke_complex",
+            "sym3q_nonneg", "sym3q_complex", "rank2_axis", "rank2_off_axis",
+        ],
+    )
+    def test_route_names(self, state, names):
+        oracle, build = cli._ROUTES[gme.state_to_dict(state)["kind"]]
+        routes = build(state, self.CFG)
+        assert list(routes) == names
+        assert oracle in routes
+
+    def test_oracle_route_per_kind(self):
+        oracles = {kind: oracle for kind, (oracle, _) in cli._ROUTES.items()}
+        assert oracles == {
+            "pure": "pure_oracle",
+            "dicke": "symmetric_oracle",
+            "sym3q": "symmetric_oracle",
+            "rank2": "mixed_oracle",
+        }
+
+    def test_routes_are_lazy(self, capsys, tmp_path):
+        # N = 21 is above the dense cap, so only calling pure_oracle may fail
+        amps = np.zeros(22)
+        amps[1] = 1.0
+        state = gme.SymmetricDickeState(21, amps)
+        routes = cli._ROUTES["dicke"][1](state, self.CFG)
+        with pytest.raises(gme.CapacityError):
+            routes["pure_oracle"]()
+        path = tmp_path / "dicke.json"
+        gme.save_state(state, str(path))
+        code, out, _ = run(capsys, "oracle", "--file", str(path), "--restarts", "2", "--json")
+        assert code == 0
+        assert json.loads(out)["result"]["method"] == "oracle"

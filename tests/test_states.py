@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -51,6 +52,13 @@ class TestSymmetricDickeState:
     def test_rejects_bool_qubit_count(self):
         with pytest.raises(gme.ValidationError, match="N must"):
             gme.SymmetricDickeState(True, [1.0, 0.0])
+
+    def test_qubit_cap(self):
+        cap = gme.states.DICKE_QUBIT_CAP
+        assert cap < 2054  # sqrt(C(N, m)) overflows a double from N = 2054
+        assert gme.SymmetricDickeState(cap, np.ones(cap + 1) / math.sqrt(cap + 1)).N == cap
+        with pytest.raises(gme.CapacityError, match=f"capped at N = {cap}"):
+            gme.SymmetricDickeState(cap + 1, np.ones(cap + 2) / math.sqrt(cap + 2))
 
 
 class TestSymThreeQubitCanonical:
@@ -260,3 +268,39 @@ class TestSerialization:
     def test_rejects_missing_fields(self):
         with pytest.raises(gme.ValidationError):
             gme.state_from_dict({"kind": "sym3q", "g": 1.0})
+
+    @pytest.mark.parametrize("kind", [["pure"], 3, None, {"pure": 1}])
+    def test_rejects_non_string_kind(self, kind):
+        with pytest.raises(gme.ValidationError, match="unknown state kind"):
+            gme.state_from_dict({"kind": kind, "n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]})
+
+    @pytest.mark.parametrize(
+        "state, text",
+        [
+            (
+                gme.PureState(1, [1, 0]),
+                '{"kind": "pure", "n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+            ),
+            (
+                gme.SymmetricDickeState(2, [0.6, 0.8j, 0]),
+                '{"kind": "dicke", "n_qubits": 2, '
+                '"amplitudes": [[0.6, 0.0], [0.0, 0.8], [0.0, 0.0]]}',
+            ),
+            (
+                gme.SymThreeQubitCanonical(1.0, 0.0, 0.0, 0.25),
+                '{"kind": "sym3q", "g": 1.0, "t": 0.0, "h": 0.0, "gamma": 0.25}',
+            ),
+            (
+                gme.RankTwoCanonical(0.5, 0.25, [0, 0.5, -0.5]),
+                '{"kind": "rank2", "gamma1": 0.5, "gamma2": 0.25, "x": [0.0, 0.5, -0.5]}',
+            ),
+        ],
+        ids=["pure", "dicke", "sym3q", "rank2"],
+    )
+    def test_exact_json_text(self, state, text):
+        assert json.dumps(gme.state_to_dict(state)) == text
+        assert type(gme.state_from_dict(json.loads(text))) is type(state)
+
+    def test_rejects_non_state_object(self):
+        with pytest.raises(gme.ValidationError):
+            gme.state_to_dict(gme.BlochVector([0, 0, 1]))

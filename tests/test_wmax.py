@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -205,6 +206,18 @@ class TestScanGlobalMin:
     def test_rejects_non_integer_resolution(self, resolution):
         with pytest.raises(gme.ValidationError):
             gme.scan_global_min(resolution)
+
+    def test_resolution_cap_raises_before_allocating(self):
+        cap = gme.wmax.RESOLUTION_CAP
+        assert cap >= 256  # the benchmark's wmax-scan resolution
+        tracemalloc.start()
+        try:
+            with pytest.raises(gme.CapacityError, match=f"capped at {cap}"):
+                gme.scan_global_min(cap + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (cap + 1) ** 2 * 8  # one float per cell would be this much
 
     @pytest.mark.parametrize("resolution", [32, 33, 64])
     def test_matches_scalar_search(self, resolution):
