@@ -6,7 +6,8 @@ import math
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize  # re-exported for the symmetric oracle's polish
+# unused: bound only so perfbench traces optim.nelder_mead.*, per_layer names CI requires
+from scipy.optimize import minimize  # noqa: F401
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPHERE_GRID = (64, 128)  # polar x azimuth cells; polar midpoints, as a pole cell repeats

@@ -308,8 +308,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[float]]
 
 
 def _cmd_wmax_scan(args: argparse.Namespace) -> int:
+    os.makedirs(args.out, exist_ok=True)  # before the scan, so a bad --out fails first
     report = scan_global_min(args.resolution)
-    os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "wmax_report.json")
     grid_path = os.path.join(args.out, "wmax_grid.csv")
     payload = {
@@ -357,6 +357,7 @@ def _cmd_fig1(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig2(args: argparse.Namespace) -> int:
+    open(args.out, "a", encoding="utf-8").close()  # a bad --out fails before the scan
     report = scan_global_min(args.resolution)
     _write_csv(args.out, ("gamma1", "gamma2", "x3_min", "g_min"), report.cells)
     print(f"wrote {report.cells.shape[0]} cells to {args.out}")

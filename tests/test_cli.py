@@ -353,6 +353,21 @@ class TestInputErrors:
         assert code == 2 and out == ""
         assert err.startswith("gm: validation error: ")
 
+    @pytest.mark.parametrize("command, target", [("wmax-scan", "sub"), ("fig2", "x.csv")])
+    def test_unwritable_output_fails_before_the_scan(
+        self, capsys, tmp_path, monkeypatch, command, target
+    ):
+        calls = []
+        monkeypatch.setattr(gme.cli, "scan_global_min", lambda *args: calls.append(args))
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        code, out, err = run(
+            capsys, command, "--resolution", "32", "--out", str(blocker / target)
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("gm: validation error: ")
+        assert calls == []
+
     @pytest.mark.parametrize("command", ["wmax-scan", "fig2"])
     def test_resolution_cap_exit_2(self, capsys, tmp_path, command):
         cap = gme.wmax.RESOLUTION_CAP

@@ -1,20 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 import gme
 from gme._linalg import bloch_of_spinor, spinor_from_bloch
 from gme._rng import restart_stream
-from gme.states import BlochVector, GmResult
+from gme.states import BlochVector, GmResult, sqrt_binomial, sym3q_to_dicke
 
 from conftest import (
     apply_local_unitaries,
     partial_trace,
+    random_generic_canonical,
     random_pure_state,
     random_unitary_2x2,
     rng_for,
 )
+from test_sym3q import _boundary_family, _near_w_family, _small_t_family
 
 
 class TestOracleConfig:
@@ -274,6 +278,175 @@ class TestSymmetricOracle:
         sym = gme.gm_symmetric_oracle(st).G
         full = gme.gm_pure_oracle(gme.dicke_to_dense(st)).G
         assert abs(sym - full) <= 1e-7
+
+
+def _reference_overlap_grid(
+    state: gme.SymmetricDickeState, alphas: np.ndarray, phases: np.ndarray
+) -> np.ndarray:
+    """|overlap| of |a>^(x)N with the state over an (alpha, phase) grid."""
+    n = state.N
+    m = np.arange(n + 1)
+    coeff = np.array([sqrt_binomial(n, k) for k in m])
+    basis = (
+        coeff[None, :]
+        * np.cos(alphas)[:, None] ** (n - m)[None, :]
+        * np.sin(alphas)[:, None] ** m[None, :]
+    )
+    phase_mat = state.amplitudes[:, None] * np.exp(
+        -1j * m[:, None] * phases[None, :]
+    )
+    return np.abs(basis @ phase_mat)
+
+
+def _reference_overlap_scalar(
+    state: gme.SymmetricDickeState, alpha: float, phase: float
+) -> float:
+    n = state.N
+    total = 0.0j
+    for m in range(n + 1):
+        total += (
+            state.amplitudes[m]
+            * sqrt_binomial(n, m)
+            * math.cos(alpha) ** (n - m)
+            * math.sin(alpha) ** m
+            * complex(math.cos(m * phase), -math.sin(m * phase))
+        )
+    return abs(total)
+
+
+def _reference_symmetric_oracle(state: gme.SymmetricDickeState) -> GmResult:
+    """The symmetric oracle the Newton polish replaced: the full grid sorted,
+    and its top 3 cells polished by scalar Nelder-Mead."""
+    alphas = np.linspace(0.0, math.pi / 2, 1024)
+    phases = np.linspace(0.0, 2.0 * math.pi, 1024, endpoint=False)
+    grid = _reference_overlap_grid(state, alphas, phases)
+
+    best = -1.0
+    best_point = (0.0, 0.0)
+    for idx in np.argsort(grid, axis=None)[::-1][:3]:
+        i, j = np.unravel_index(idx, grid.shape)
+
+        def neg(x: np.ndarray) -> float:
+            return -_reference_overlap_scalar(state, float(x[0]), float(x[1]))
+
+        res = minimize(
+            neg,
+            np.array([alphas[i], phases[j]]),
+            method="Nelder-Mead",
+            options={"xatol": 1e-12, "fatol": 1e-15, "maxiter": 600},
+        )
+        if -res.fun > best:
+            best = -res.fun
+            best_point = (float(res.x[0]), float(res.x[1]))
+
+    alpha, phase = best_point
+    bloch = BlochVector(
+        np.array(
+            [
+                math.sin(2 * alpha) * math.cos(phase),
+                math.sin(2 * alpha) * math.sin(phase),
+                math.cos(2 * alpha),
+            ]
+        )
+    )
+    return GmResult.from_overlap(
+        best, closest_product=(bloch,) * state.N, method="oracle"
+    )
+
+
+def _dicke(amplitudes) -> gme.SymmetricDickeState:
+    amplitudes = np.asarray(amplitudes, dtype=complex)
+    return gme.SymmetricDickeState(len(amplitudes) - 1, amplitudes / np.linalg.norm(amplitudes))
+
+
+def _random_complex_dicke(seed: int, n: int) -> gme.SymmetricDickeState:
+    rng = rng_for(seed)
+    return _dicke(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+
+
+def _symmetric_families():
+    """Seeded (id, state) pairs: complex and non-negative Dicke vectors, and
+    generic, boundary, near-W and small-t canonical three-qubit states."""
+    for n in range(2, 21):
+        yield f"complex-{n}", _random_complex_dicke(5100 + n, n)
+    for n in (2, 3, 6, 10, 14, 20):
+        yield f"nonneg-{n}", _dicke(np.abs(rng_for(5200 + n).normal(size=n + 1)))
+    for seed in range(6):
+        yield f"generic-{seed}", sym3q_to_dicke(random_generic_canonical(rng_for(5300 + seed)))
+    for name, family in (
+        ("boundary", _boundary_family), ("near_w", _near_w_family), ("small_t", _small_t_family)
+    ):
+        for k, st in enumerate(family()):
+            yield f"{name}-{k}", sym3q_to_dicke(st)
+
+
+_POLE_STATE = gme.SymThreeQubitCanonical(1 / math.sqrt(2), 1e-4, 0.70710676, 0.0)
+
+
+def _known_answers():
+    """(id, state, G^2): Platonic states of Martin et al., PRA 81, 062347 (2010),
+    and GHZ_N and W_N."""
+    yield "tetrahedron", _dicke([math.sqrt(1 / 3), 0, 0, math.sqrt(2 / 3), 0]), 1 / 3
+    yield "octahedron", _dicke([0, 1, 0, 0, 0, 1, 0]), 2 / 9
+    for n in (2, 3, 5, 8, 13, 20):
+        yield f"ghz-{n}", _dicke([1] + [0] * (n - 1) + [1]), 0.5
+        yield f"w-{n}", _dicke([0, 1] + [0] * (n - 1)), ((n - 1) / n) ** (n - 1)
+
+
+def _attained(state: gme.SymmetricDickeState, result: GmResult) -> float:
+    """|<a|^(x)N |psi>|^2 for the reported closest product, in plain numpy."""
+    s = result.closest_product[0].s
+    polar, azimuth = np.arctan2(np.hypot(s[0], s[1]), s[2]), np.arctan2(s[1], s[0])
+    spinor = np.array([np.cos(polar / 2), np.exp(1j * azimuth) * np.sin(polar / 2)])
+    product = spinor
+    for _ in range(state.N - 1):
+        product = np.kron(product, spinor)
+    return abs(np.vdot(product, gme.dicke_to_dense(state).amplitudes)) ** 2
+
+
+class TestNewtonSymmetricOracle:
+    """The grid-local-maxima Newton polish against the sort-and-Nelder-Mead
+    oracle it replaced, known answers, and the product it reports."""
+
+    def test_matches_reference_on_seeded_families(self):
+        for name, st in _symmetric_families():
+            got = gme.gm_symmetric_oracle(st).G_squared
+            want = _reference_symmetric_oracle(st).G_squared
+            assert abs(got - want) <= 1e-12, name
+            assert got >= want - 1e-13, name
+
+    def test_pole_state_matches_sym3q(self):
+        # the maximum sits about 3e-4 rad from a pole, where every top cell of
+        # the old grid sat on the pole row and the old polish stopped short
+        result = gme.gm_symmetric_oracle(sym3q_to_dicke(_POLE_STATE))
+        assert abs(result.G_squared - gme.gm_sym3q(_POLE_STATE).G_squared) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "state, expected", [(st, g2) for _, st, g2 in _known_answers()],
+        ids=[name for name, _, _ in _known_answers()],
+    )
+    def test_known_answers(self, state, expected):
+        tol = 1e-14 if state.N <= 6 else 1e-13
+        assert gme.gm_symmetric_oracle(state).G_squared == pytest.approx(expected, abs=tol)
+
+    def test_reported_product_attains_the_value(self):
+        states = [st for _, st in _symmetric_families()]
+        states += [st for _, st, _ in _known_answers()] + [sym3q_to_dicke(_POLE_STATE)]
+        for st in states:
+            result = gme.gm_symmetric_oracle(st)
+            assert abs(_attained(st, result) - result.G_squared) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["flat", "complex"])
+    def test_large_n_without_overflow(self, kind):
+        n = 200
+        if kind == "flat":
+            st = _dicke(np.ones(n + 1))
+        else:
+            st = _random_complex_dicke(5400, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = gme.gm_symmetric_oracle(st).G_squared
+        assert abs(got - _reference_symmetric_oracle(st).G_squared) <= 1e-12
 
 
 class TestMixedOracle:
