@@ -27,6 +27,7 @@ FLAT_TOL = 1e-13  # a kernel this small against its terms is zero to rounding
 POLISH_STEPS = 4  # Newton steps on each kept root
 PINV_RCOND = 1e-9  # Newton directions flatter than this, relative, take no step
 DISC_RADIUS = 1.0 + 1e-6  # each hemisphere's |u| bound; they overlap at the equator
+TRIM_TOL = 1e-20  # E's top coefficients below this, relative, are dropped; noise is ~1e-17
 
 
 def coefficients(amplitudes: np.ndarray) -> np.ndarray:
@@ -97,8 +98,10 @@ def _hemisphere(c: np.ndarray) -> np.ndarray | None:
     e = poly.polyadd(from_u, from_v)
     if _flat(e, from_u, from_v):
         return None
-    u = poly.polyroots(e)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a tiny top coefficient (a near-zero c_m) only adds roots far outside the
+    # disc, and swamps the companion matrix: g = 1e-24 lost the best spinor
+    u = poly.polyroots(poly.polytrim(e, TRIM_TOL * np.max(np.abs(e))))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = -poly.polyval(u, dp) / poly.polyval(u, r)
     keep = np.abs(v - u.conjugate()) <= CONJUGATE_TOL * (1.0 + np.abs(u))
     return _polish(c, u[keep & (np.abs(u) <= DISC_RADIUS)])

@@ -5,8 +5,10 @@ matching solver, and print the result with 12 significant digits, or as a
 JSON record with ``--json``.  The solvers that apply to each state kind are
 listed once, in ``_ROUTES``: ``crosscheck`` runs them all, ``oracle`` and
 ``pure`` only the kind's oracle.  Exit codes: 0 success, 2 validation error
-(including unreadable or non-UTF-8 files and unwritable outputs), 3 solver
-warning or solver error, 64 usage error.
+(including unreadable or non-UTF-8 files, unwritable outputs and a value above
+a size cap, such as ``--restarts`` above ``oracle.RESTART_CAP``), 3 solver
+warning, solver error, or a ``crosscheck`` whose routes differ by more than
+``CROSSCHECK_TOL``, 64 usage error.
 """
 
 from __future__ import annotations
@@ -53,6 +55,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER_WARNING = 3
 EXIT_USAGE = 64
+# crosscheck exits 3 when two solver routes' G^2 differ by more than this
+CROSSCHECK_TOL = 1e-6
 
 FIG1_PAIRS = (
     (math.pi / 4, 0.0),
@@ -290,13 +294,20 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
                 }
             )
         )
-        return EXIT_OK
-    for name in names:
-        print(f"G^2[{name}] = {_sig(values[name])}")
-    for pair, delta in deltas.items():
-        print(f"|delta| {pair} = {_sig(delta)}")
-    print(f"max pairwise delta = {_sig(max_delta)}")
-    print(f"wall time   : {_sig(wall)} ms")
+    else:
+        for name in names:
+            print(f"G^2[{name}] = {_sig(values[name])}")
+        for pair, delta in deltas.items():
+            print(f"|delta| {pair} = {_sig(delta)}")
+        print(f"max pairwise delta = {_sig(max_delta)}")
+        print(f"wall time   : {_sig(wall)} ms")
+    if not max_delta <= CROSSCHECK_TOL:
+        print(
+            f"gm: crosscheck failed: max pairwise delta {_sig(max_delta)} "
+            f"exceeds {CROSSCHECK_TOL:g}",
+            file=sys.stderr,
+        )
+        return EXIT_SOLVER_WARNING
     return EXIT_OK
 
 

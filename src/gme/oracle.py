@@ -27,6 +27,7 @@ from ._optim import max_on_sphere
 from ._rng import restart_stream
 from .states import (
     BlochVector,
+    CapacityError,
     GmResult,
     PureState,
     SymmetricDickeState,
@@ -35,6 +36,9 @@ from .states import (
 )
 
 DEFAULT_SEED = 42
+# the pure oracle keeps every restart's best spinors, restarts x n x 2 complex:
+# 40 MiB for 20 qubits at the cap
+RESTART_CAP = 1 << 16
 # amplitudes in one stacked array of a chunk of pure-oracle restarts; a chunk
 # of n-qubit restarts holds max(1, _CHUNK_AMPLITUDES >> n) of them
 _CHUNK_AMPLITUDES = 1 << 17
@@ -61,6 +65,8 @@ class OracleConfig:
             object.__setattr__(self, name, int(value))
         if self.restarts < 1:
             raise ValidationError("restarts must be at least 1")
+        if self.restarts > RESTART_CAP:
+            raise CapacityError(f"restarts is capped at {RESTART_CAP}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
         tol = self.tol

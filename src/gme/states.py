@@ -276,7 +276,9 @@ def dicke_to_dense(state: SymmetricDickeState) -> PureState:
     n = state.N
     if n > DENSE_QUBIT_CAP:
         raise CapacityError(f"dense expansion is capped at {DENSE_QUBIT_CAP} qubits")
-    weights = np.array([int(i).bit_count() for i in range(1 << n)])
+    weights = np.zeros(1, dtype=np.int64)  # Hamming weight of each index, one bit per doubling
+    for _ in range(n):
+        weights = np.concatenate([weights, weights + 1])
     scale = np.array([1.0 / sqrt_binomial(n, m) for m in range(n + 1)])
     amps = state.amplitudes[weights] * scale[weights]
     return PureState(n_qubits=n, amplitudes=amps)

@@ -2,11 +2,11 @@
 
 The closest symmetric product state has Bloch angles (phi, theta) solving a
 three-equation stationarity system with one Lagrange multiplier.  Candidates
-come from three sources: the polar point theta = 0, one closed-form root, and
-the stationary spinors of the full overlap, which are the roots of the
-state's Majorana stationarity polynomial (``_majorana``) together with the
-pole theta = pi.  Each spinor is assigned to the tangent branch whose
-relation it satisfies.  The overlap value at every candidate is evaluated in
+come from three sources: the polar point theta = 0 (Case 1), one closed-form
+root (Case 2.1), and the stationary spinors of the full overlap, the roots of
+the state's Majorana stationarity polynomial (``_majorana``) with the pole
+theta = pi, which one pass tags Case 2.2 or 2.3 by the tangent branch whose
+relation they satisfy.  The overlap value at every candidate is evaluated in
 closed form, and the largest candidate is the answer.
 """
 
@@ -95,13 +95,6 @@ def stationary_residual(
     return _eliminated(state, float(phi), float(theta))[1]
 
 
-def _record(
-    state: SymThreeQubitCanonical, phi: float, theta: float, value: float, tag: CaseTag
-) -> CandidateRecord:
-    lam, residual = _eliminated(state, phi, theta)
-    return CandidateRecord(phi, theta, lam, value, tag, residual.max_abs())
-
-
 def _tangent_sides(
     state: SymThreeQubitCanonical, phi: float, branch: str
 ) -> tuple[float, float]:
@@ -140,41 +133,44 @@ def _on_branch(state: SymThreeQubitCanonical, phi: float, theta: float, branch: 
     return abs(top * math.cos(0.5 * theta) - bottom * math.sin(0.5 * theta)) <= BRANCH_AGREE_TOL
 
 
-def find_case2_roots(
-    state: SymThreeQubitCanonical, branch: str
-) -> list[tuple[float, float]]:
-    """All (phi, theta) stationary spinors with theta > 0 tagged for one branch.
+def find_case2_roots(state: SymThreeQubitCanonical) -> list[CandidateRecord]:
+    """Every stationary spinor with theta > 0, as a tagged Case 2 record.
 
     The spinors are the roots of the Majorana stationarity polynomial, the
     pole theta = pi included, each kept when its full residual triple is below
-    1e-8.  A spinor belongs to branch "B" when B's relation holds within 1e-9
-    and A's does not, and to branch "A" otherwise.  Duplicates closer than
-    1e-9 in both angles are merged.
+    1e-8.  A spinor is tagged CASE23 when branch B's relation holds within
+    1e-9 and A's does not, and CASE22 otherwise.  The records are sorted by
+    (tag, phi, theta), and duplicates of one tag closer than 1e-9 in both
+    angles are merged.
     """
-    if branch not in ("A", "B"):
-        raise ValueError("branch must be 'A' or 'B'")
     thetas, phis = stationary_spinors(coefficients(sym3q_to_dicke(state).amplitudes))
-    accepted: list[tuple[float, float]] = []
+    records: list[CandidateRecord] = []
     for theta, phi in zip(thetas.tolist(), (phis % _TWO_PI).tolist()):
         # the stationarity system degenerates as theta -> 0, so tiny-theta
         # roots are the polar candidate in disguise; drop them here
         if theta <= THETA_FLOOR:
             continue
-        if stationary_residual(state, phi, theta).max_abs() > RESIDUAL_TOL:
+        lam, residual = _eliminated(state, phi, theta)
+        worst = residual.max_abs()
+        if worst > RESIDUAL_TOL:
             continue
         on_b = _on_branch(state, phi, theta, "B") and not _on_branch(state, phi, theta, "A")
-        if on_b == (branch == "B"):
-            accepted.append((phi, theta))
+        tag = CaseTag.CASE23 if on_b else CaseTag.CASE22
+        records.append(
+            CandidateRecord(phi, theta, lam, gm_candidate(state, phi, theta), tag, worst)
+        )
 
-    accepted.sort()
-    deduped: list[tuple[float, float]] = []
-    for phi, theta in accepted:
+    records.sort(key=lambda r: (r.case_tag.value, r.phi, r.theta))
+    deduped: list[CandidateRecord] = []
+    for record in records:
         if any(
-            abs(phi - p) <= DEDUPE_TOL and abs(theta - t) <= DEDUPE_TOL
-            for p, t in deduped
+            kept.case_tag is record.case_tag
+            and abs(record.phi - kept.phi) <= DEDUPE_TOL
+            and abs(record.theta - kept.theta) <= DEDUPE_TOL
+            for kept in deduped
         ):
             continue
-        deduped.append((phi, theta))
+        deduped.append(record)
     return deduped
 
 
@@ -245,9 +241,9 @@ def candidate_case21(state: SymThreeQubitCanonical) -> CandidateRecord | None:
             continue
         if abs(theta_a - theta_b) > BRANCH_AGREE_TOL:
             continue
-        record = _record(state, phi, theta_a, value, CaseTag.CASE21)
-        if record.residual <= RESIDUAL_TOL:
-            return record
+        lam, residual = _eliminated(state, phi, theta_a)
+        if residual.max_abs() <= RESIDUAL_TOL:
+            return CandidateRecord(phi, theta_a, lam, value, CaseTag.CASE21, residual.max_abs())
     return None
 
 
@@ -256,23 +252,17 @@ def gm_sym3q(
 ) -> GmResult:
     """Maximal overlap of a canonical symmetric three-qubit state.
 
-    Collects every stationary candidate (polar point, closed-form root, and
-    the stationary spinors of both tangent branches) and returns the largest
-    value.  ``cfg`` is accepted for signature symmetry with the oracles and
-    ignored: the enumeration is exact and deterministic.
+    Lists the polar point, the closed-form root and the tagged stationary
+    spinors of ``find_case2_roots``, in (case tag, phi) order, and returns the
+    largest value.  ``cfg`` is accepted for signature symmetry with the
+    oracles and ignored: the enumeration is exact and deterministic.
     """
     del cfg
     records: list[CandidateRecord] = [candidate_case1(state)]
     closed = candidate_case21(state)
     if closed is not None:
         records.append(closed)
-    for branch, tag in (("A", CaseTag.CASE22), ("B", CaseTag.CASE23)):
-        records += [
-            _record(state, phi, theta, gm_candidate(state, phi, theta), tag)
-            for phi, theta in find_case2_roots(state, branch)
-        ]
-
-    records.sort(key=lambda r: (r.case_tag.value, r.phi))
+    records += find_case2_roots(state)
     best = max(records, key=lambda r: r.G_j_squared)
 
     direction = BlochVector(

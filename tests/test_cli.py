@@ -284,6 +284,30 @@ class TestCrosscheck:
         for value in values.values():
             assert value == pytest.approx(4.0 / 9.0, abs=1e-7)
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_disagreement_exits_3(self, capsys, tmp_path, monkeypatch, as_json):
+        path = tmp_path / "w.json"
+        gme.save_state(gme.SymThreeQubitCanonical(0.0, W_T, 0.0, 0.0), str(path))
+        flags = ["--json"] if as_json else []
+        code, agreeing, err = run(capsys, "crosscheck", "--file", str(path), *flags)
+        assert code == 0 and err == ""
+        wrong = gme.GmResult.from_overlap_squared(4.0 / 9.0 + 2.0 * cli.CROSSCHECK_TOL)
+        monkeypatch.setattr(cli, "gm_sym3q", lambda state, cfg=None: wrong)
+        code, out, err = run(capsys, "crosscheck", "--file", str(path), *flags)
+        assert code == 3
+        assert err.startswith("gm: crosscheck failed: ") and err.count("\n") == 1
+        if as_json:
+            record = json.loads(out)
+            assert record["G_squared"]["sym3q"] == wrong.G_squared
+            assert record["max_delta"] > cli.CROSSCHECK_TOL
+            assert set(record) == set(json.loads(agreeing))
+        else:
+            lines = out.splitlines()
+            assert [line.split("=")[0] for line in lines[:-1]] == [
+                line.split("=")[0] for line in agreeing.splitlines()[:-1]
+            ]
+            assert f"G^2[sym3q] = {cli._sig(wrong.G_squared)}" in lines
+
 
 class TestFigures:
     def test_fig1_shape_and_coincidence(self, capsys, tmp_path):
@@ -385,6 +409,17 @@ class TestInputErrors:
         code, out, err = run(capsys, "oracle", "--file", str(path))
         assert code == 2 and out == ""
         assert err == f"gm: validation error: Dicke states are capped at N = {cap}\n"
+
+    @pytest.mark.parametrize("command", ["pure", "oracle", "crosscheck"])
+    def test_restart_cap_exit_2(self, capsys, tmp_path, command):
+        cap = gme.oracle.RESTART_CAP
+        path = tmp_path / "pure.json"
+        gme.save_state(gme.PureState(1, np.array([1.0, 0.0])), str(path))
+        code, out, err = run(
+            capsys, command, "--file", str(path), "--restarts", "1000000000000"
+        )
+        assert code == 2 and out == ""
+        assert err == f"gm: validation error: restarts is capped at {cap}\n"
 
     @pytest.mark.parametrize(
         "command, state, expected",

@@ -48,6 +48,13 @@ class TestOracleConfig:
         with pytest.raises(gme.ValidationError):
             gme.OracleConfig(**kwargs)
 
+    def test_restart_cap(self):
+        cap = gme.oracle.RESTART_CAP
+        assert gme.OracleConfig(restarts=cap).restarts == cap
+        for restarts in (cap + 1, 10**12):
+            with pytest.raises(gme.CapacityError, match=f"restarts is capped at {cap}"):
+                gme.OracleConfig(restarts=restarts)
+
     def test_numpy_integers_are_plain_ints(self):
         cfg = gme.OracleConfig(restarts=np.int64(3), seed=np.uint64(7))
         assert type(cfg.restarts) is int and type(cfg.seed) is int

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gme
+from gme.states import sqrt_binomial
 
 from conftest import random_pure_state, random_rank2, rng_for, SZ
 
@@ -163,6 +164,19 @@ class TestDickeToDense:
         perm = rng.permutation(n)
         permuted = dense.reshape((2,) * n).transpose(perm).reshape(-1)
         assert np.max(np.abs(permuted - dense)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_popcount_loop(self, n):
+        rng = rng_for(150 + n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        st = gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
+        # the per-index popcount loop the doubled weights replaced
+        weights = np.array([int(i).bit_count() for i in range(1 << n)])
+        scale = np.array([1.0 / sqrt_binomial(n, m) for m in range(n + 1)])
+        expected = gme.PureState(n, st.amplitudes[weights] * scale[weights]).amplitudes
+        dense = gme.dicke_to_dense(st).amplitudes
+        assert dense.dtype == expected.dtype
+        assert np.array_equal(dense, expected)
 
 
 class TestSym3qToDense:

@@ -4,8 +4,22 @@ import numpy as np
 import pytest
 
 import gme
-from gme.states import sym3q_to_dicke
-from gme.sym3q import stationary_residual
+from gme._majorana import coefficients, stationary_spinors
+from gme.states import CandidateRecord, CaseTag, sym3q_to_dicke
+from gme.sym3q import (
+    BRANCH_AGREE_TOL,
+    DEDUPE_TOL,
+    DEGENERATE_TOL,
+    DENOMINATOR_TOL,
+    RESIDUAL_TOL,
+    THETA_FLOOR,
+    _eliminated,
+    _on_branch,
+    candidate_case1,
+    gm_candidate,
+    stationary_residual,
+    theta_from_phi,
+)
 
 from conftest import (
     partial_trace,
@@ -128,8 +142,9 @@ class TestFindCase2Roots:
     @pytest.mark.parametrize("seed", range(5))
     def test_root_count_and_residuals(self, seed):
         st = random_generic_canonical(rng_for(1000 + seed))
-        for branch in ("A", "B"):
-            roots = gme.find_case2_roots(st, branch)
+        records = gme.find_case2_roots(st)
+        for tag in (gme.CaseTag.CASE22, gme.CaseTag.CASE23):
+            roots = [(r.phi, r.theta) for r in records if r.case_tag is tag]
             assert len(roots) <= 16
             for phi, theta in roots:
                 assert 0.0 < theta < math.pi
@@ -139,9 +154,8 @@ class TestFindCase2Roots:
     def test_roots_below_oracle(self, seed):
         st = random_generic_canonical(rng_for(1100 + seed))
         brute = gme.gm_symmetric_oracle(sym3q_to_dicke(st)).G_squared
-        for branch in ("A", "B"):
-            for phi, theta in gme.find_case2_roots(st, branch):
-                assert gme.gm_candidate(st, phi, theta) <= brute + 1e-7
+        for record in gme.find_case2_roots(st):
+            assert gme.gm_candidate(st, record.phi, record.theta) <= brute + 1e-7
 
 
 class TestGmCandidate:
@@ -273,6 +287,23 @@ def _small_t_family():
     return states
 
 
+def _tiny_amplitude_family():
+    """One or two amplitudes far below rounding, down to 1e-300."""
+    states = []
+    for eps in (1e-24, 1e-60, 1e-160, 1e-300):
+        for g, t, h, gamma in (
+            (eps, 1.0 / math.sqrt(6.0), math.sqrt(0.5), 0.0),
+            (eps, 0.3, 0.5, math.pi / 2),
+            (0.0, eps, 1.0, 0.0),
+            (0.6, eps, 0.8, 0.7),
+            (0.5, 0.4, eps, -0.3),
+            (eps, 1.0, eps, 0.2),
+        ):
+            norm = math.sqrt(g * g + 3.0 * t * t + h * h)
+            states.append(gme.SymThreeQubitCanonical(g / norm, t / norm, h / norm, gamma))
+    return states
+
+
 class TestMajoranaEnumeration:
     def test_equatorial_maximum(self):
         """A generic state whose maximum the phi scan of the old enumeration missed."""
@@ -284,8 +315,8 @@ class TestMajoranaEnumeration:
         assert result.method == "sym3q"
 
     @pytest.mark.parametrize(
-        "family", [_boundary_family, _near_w_family, _small_t_family],
-        ids=["boundary", "near_w", "small_t"],
+        "family", [_boundary_family, _near_w_family, _small_t_family, _tiny_amplitude_family],
+        ids=["boundary", "near_w", "small_t", "tiny"],
     )
     def test_agrees_with_symmetric_oracle(self, family):
         for st in family():
@@ -298,15 +329,130 @@ class TestMajoranaEnumeration:
     def test_pole_is_a_candidate(self, g, h):
         # t = 0 leaves g|000> + h e^(i gamma)|111>, best at the pole theta = pi
         st = gme.SymThreeQubitCanonical(g, 0.0, h, 0.4)
-        assert any(theta == pytest.approx(math.pi, abs=1e-12) for _, theta in
-                   gme.find_case2_roots(st, "A") + gme.find_case2_roots(st, "B"))
+        assert any(r.theta == pytest.approx(math.pi, abs=1e-12) for r in
+                   gme.find_case2_roots(st))
         assert gme.gm_sym3q(st).G_squared == pytest.approx(h * h, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_branch_a_roots_lie_on_its_tangent_curve(self, seed):
         st = random_generic_canonical(rng_for(1900 + seed))
-        roots = gme.find_case2_roots(st, "A")
+        roots = [(r.phi, r.theta) for r in gme.find_case2_roots(st)
+                 if r.case_tag is gme.CaseTag.CASE22]
         assert roots
         for phi, theta in roots:
             expected = gme.theta_from_phi(st, phi, "A")
             assert expected is not None and abs(expected - theta) <= 1e-8
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-branch enumeration that solved the Majorana kernel once
+# per tangent branch, copied verbatim (names prefixed with _ref)
+# ---------------------------------------------------------------------------
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _ref_record(state, phi, theta, value, tag):
+    lam, residual = _eliminated(state, phi, theta)
+    return CandidateRecord(phi, theta, lam, value, tag, residual.max_abs())
+
+
+def _ref_find_case2_roots(state, branch):
+    if branch not in ("A", "B"):
+        raise ValueError("branch must be 'A' or 'B'")
+    thetas, phis = stationary_spinors(coefficients(sym3q_to_dicke(state).amplitudes))
+    accepted = []
+    for theta, phi in zip(thetas.tolist(), (phis % _TWO_PI).tolist()):
+        # the stationarity system degenerates as theta -> 0, so tiny-theta
+        # roots are the polar candidate in disguise; drop them here
+        if theta <= THETA_FLOOR:
+            continue
+        if stationary_residual(state, phi, theta).max_abs() > RESIDUAL_TOL:
+            continue
+        on_b = _on_branch(state, phi, theta, "B") and not _on_branch(state, phi, theta, "A")
+        if on_b == (branch == "B"):
+            accepted.append((phi, theta))
+
+    accepted.sort()
+    deduped = []
+    for phi, theta in accepted:
+        if any(
+            abs(phi - p) <= DEDUPE_TOL and abs(theta - t) <= DEDUPE_TOL
+            for p, t in deduped
+        ):
+            continue
+        deduped.append((phi, theta))
+    return deduped
+
+
+def _ref_candidate_case21(state):
+    g, t, h, gamma = state.g, state.t, state.h, state.gamma
+    if abs(t - g) <= DEGENERATE_TOL:
+        return None
+    denominator = (
+        t * t
+        - 2.0 * t**4
+        + g * g
+        - 6.0 * g * g * t * t
+        - 2.0 * g * t * h * h * math.cos(2.0 * gamma)
+    )
+    if abs(denominator) <= DENOMINATOR_TOL:
+        return None
+    value = g * g - (g * g - t * t) ** 3 / denominator
+
+    phi_base = math.atan2((t + g) * math.sin(gamma), (t - g) * math.cos(gamma))
+    for phi in (phi_base % _TWO_PI, (phi_base + math.pi) % _TWO_PI):
+        theta_a = theta_from_phi(state, phi, "A")
+        theta_b = theta_from_phi(state, phi, "B")
+        if theta_a is None or theta_b is None or theta_a <= THETA_FLOOR:
+            continue
+        if abs(theta_a - theta_b) > BRANCH_AGREE_TOL:
+            continue
+        record = _ref_record(state, phi, theta_a, value, CaseTag.CASE21)
+        if record.residual <= RESIDUAL_TOL:
+            return record
+    return None
+
+
+def _ref_candidates(state):
+    records = [candidate_case1(state)]
+    closed = _ref_candidate_case21(state)
+    if closed is not None:
+        records.append(closed)
+    for branch, tag in (("A", CaseTag.CASE22), ("B", CaseTag.CASE23)):
+        records += [
+            _ref_record(state, phi, theta, gm_candidate(state, phi, theta), tag)
+            for phi, theta in _ref_find_case2_roots(state, branch)
+        ]
+
+    records.sort(key=lambda r: (r.case_tag.value, r.phi))
+    return tuple(records)
+
+
+def _generic_family():
+    return [random_generic_canonical(rng_for(2000 + seed)) for seed in range(12)]
+
+
+_FAMILIES = [_generic_family, _boundary_family, _near_w_family, _small_t_family]
+_FAMILY_IDS = ["generic", "boundary", "near_w", "small_t"]
+
+
+class TestSinglePass:
+    @pytest.mark.parametrize("family", _FAMILIES, ids=_FAMILY_IDS)
+    def test_one_kernel_solve_per_call(self, family, monkeypatch):
+        calls = []
+
+        def counting(c):
+            calls.append(c)
+            return stationary_spinors(c)
+
+        monkeypatch.setattr(gme.sym3q, "stationary_spinors", counting)
+        for st in family():
+            calls.clear()
+            gme.gm_sym3q(st)
+            assert len(calls) == 1, st
+
+    @pytest.mark.parametrize("family", _FAMILIES, ids=_FAMILY_IDS)
+    def test_candidates_match_per_branch_reference(self, family):
+        for st in family():
+            assert gme.gm_sym3q(st).candidates == _ref_candidates(st), st
