@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,22 +33,3 @@ def bloch_of_spinor(a: np.ndarray) -> tuple[float, float, float]:
         2.0 * float(cross.imag),
         float(abs(a[0]) ** 2 - abs(a[1]) ** 2),
     )
-
-
-def reduced_density(
-    amplitudes: np.ndarray, n_qubits: int, keep: Iterable[int]
-) -> np.ndarray:
-    """Reduced density matrix of a pure state over the ``keep`` qubits.
-
-    Qubit 0 is the most significant bit of the amplitude index; the rows of
-    the result are ordered the same way over the kept qubits (ascending).
-    """
-    keep_sorted = tuple(sorted(set(int(k) for k in keep)))
-    if any(k < 0 or k >= n_qubits for k in keep_sorted):
-        raise ValueError("kept qubit index out of range")
-    traced = tuple(i for i in range(n_qubits) if i not in keep_sorted)
-    tensor = np.asarray(amplitudes, dtype=complex).reshape((2,) * n_qubits)
-    rho = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
-    dim = 2 ** len(keep_sorted)
-    return rho.reshape(dim, dim)
-

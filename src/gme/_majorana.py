@@ -8,8 +8,11 @@ taken as a second unknown, stationarity in u gives v(u) = -P'(u) / R(u),
 R = u P' - N P, and stationarity in v then leaves the polynomial
 E(u) = P sum_{m>=1} m conj(c_m) (-P')^(m-1) R^(N-m)
        + u sum_m conj(c_m) (-P')^m R^(N-m).
-Its roots with v(u) = conj(u) are the stationary spinors.  Polynomials are
-coefficient arrays in ascending powers.
+Its roots with v(u) = conj(u) are the stationary spinors; for real c >= 0
+the real roots of D(t) = (1 + t^2) P'(t) - N t P(t) give the real ones.  A
+near-zero c_m gives E or D a negligible top coefficient, so each is solved per
+hemisphere: |u| <= 1 from c, |u| >= 1 as 1/u' from the reversed c (the
+bit-flipped state).  Polynomials are coefficient arrays in ascending powers.
 """
 
 from __future__ import annotations
@@ -27,7 +30,8 @@ FLAT_TOL = 1e-13  # a kernel this small against its terms is zero to rounding
 POLISH_STEPS = 4  # Newton steps on each kept root
 PINV_RCOND = 1e-9  # Newton directions flatter than this, relative, take no step
 DISC_RADIUS = 1.0 + 1e-6  # each hemisphere's |u| bound; they overlap at the equator
-TRIM_TOL = 1e-20  # E's top coefficients below this, relative, are dropped; noise is ~1e-17
+TRIM_TOL = 1e-20  # top coefficients below this, relative, are dropped; E's noise is ~1e-17
+NEWTON_STEPS = 2  # Newton steps on each real root of D
 
 
 def coefficients(amplitudes: np.ndarray) -> np.ndarray:
@@ -40,21 +44,61 @@ def _flat(kernel: np.ndarray, *terms: np.ndarray) -> bool:
     return np.max(np.abs(kernel)) <= FLAT_TOL * max(np.max(np.abs(t)) for t in terms)
 
 
+def _roots(
+    p: np.ndarray, *terms: np.ndarray, scale: np.ndarray | float = 1.0
+) -> np.ndarray | None:
+    """Roots of p; None when p is zero to rounding against its terms.
+
+    Top coefficients below TRIM_TOL of the largest, each measured in units of
+    its ``scale``, only add roots far outside the unit disc and swamp the
+    companion matrix, so they are dropped.
+    """
+    if _flat(p, *terms):
+        return None
+    size = np.abs(p) / scale
+    return poly.polyroots(p[: np.flatnonzero(size > TRIM_TOL * np.max(size))[-1] + 1])
+
+
+def _real_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """D of c and its real roots t >= 0; none when D is zero to rounding."""
+    n = len(c) - 1
+    rising = poly.polymul([1.0, 0.0, 1.0], poly.polyder(c))
+    falling = n * poly.polymulx(c)
+    d = poly.polysub(rising, falling)
+    # D_k carries sqrt(C(N, k)), whose hundreds of decades at large N are no
+    # sign of a negligible amplitude
+    binomial = np.cumprod(np.sqrt(np.r_[1.0, np.arange(n, 0, -1) / np.arange(1.0, n + 1)]))
+    t = _roots(d, rising, falling, scale=binomial[: len(d)])
+    if t is None:
+        return d, np.empty(0)
+    t = t[np.abs(t.imag) <= REAL_TOL * (1.0 + np.abs(t))].real
+    return d, t[t >= 0.0]
+
+
+def _newton(d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Newton steps on roots of d in the disc; a step out of it (a double root's) is not taken."""
+    slope = poly.polyder(d)
+    for _ in range(NEWTON_STEPS):
+        powers = t[:, None] ** np.arange(len(d))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            moved = t - (powers @ d) / (powers[:, : len(slope)] @ slope)
+        t = np.where(np.abs(moved) <= DISC_RADIUS, moved, t)
+    return t
+
+
 def real_stationary_points(coeffs: np.ndarray) -> np.ndarray:
     """Every t = tan(alpha) >= 0 where sum_m c_m cos^(N-m) sin^m(alpha) is stationary.
 
-    The derivative in alpha is cos^N(alpha) D(t) with
-    D(t) = (1 + t^2) P'(t) - N t P(t), of degree at most N.  A flat objective
-    (D zero to rounding) yields no points; the endpoints are the caller's.
+    The derivative in alpha is cos^N(alpha) D(t), and D's top coefficient is
+    -c_(N-1): t <= 1 comes from D and t >= 1 as 1/t' from the D of the
+    reversed c, each half Newton-polished on its own untrimmed D.  A flat
+    objective (D zero to rounding) yields no points; the endpoints are the
+    caller's.
     """
-    rising = poly.polymul([1.0, 0.0, 1.0], poly.polyder(coeffs))
-    falling = (len(coeffs) - 1) * poly.polymulx(coeffs)
-    d = poly.polysub(rising, falling)
-    if _flat(d, rising, falling):
-        return np.empty(0)
-    t = poly.polyroots(d)
-    t = t[np.abs(t.imag) <= REAL_TOL * (1.0 + np.abs(t))].real
-    return t[t >= 0.0]
+    (d, near), (d_rev, far) = _real_roots(coeffs), _real_roots(coeffs[::-1])
+    near = _newton(d, near[near <= DISC_RADIUS])
+    far = _newton(d_rev, far[far <= DISC_RADIUS])
+    return np.concatenate([near[near >= 0.0], 1.0 / far[far > 0.0]])
 
 
 def _polish(c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -95,12 +139,9 @@ def _hemisphere(c: np.ndarray) -> np.ndarray | None:
     from_v = poly.polymulx(reduce(poly.polyadd, [
         c[m].conjugate() * term(m, n - m) for m in range(n + 1)
     ]))
-    e = poly.polyadd(from_u, from_v)
-    if _flat(e, from_u, from_v):
+    u = _roots(poly.polyadd(from_u, from_v), from_u, from_v)
+    if u is None:
         return None
-    # a tiny top coefficient (a near-zero c_m) only adds roots far outside the
-    # disc, and swamps the companion matrix: g = 1e-24 lost the best spinor
-    u = poly.polyroots(poly.polytrim(e, TRIM_TOL * np.max(np.abs(e))))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         v = -poly.polyval(u, dp) / poly.polyval(u, r)
     keep = np.abs(v - u.conjugate()) <= CONJUGATE_TOL * (1.0 + np.abs(u))
@@ -120,6 +161,6 @@ def stationary_spinors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(coeffs, dtype=complex)
     north, south = _hemisphere(c), _hemisphere(c[::-1])
     if north is None or south is None:
-        north, south = (real_stationary_points(np.abs(x)).astype(complex) for x in (c, c[::-1]))
+        north, south = (_real_roots(np.abs(x))[1].astype(complex) for x in (c, c[::-1]))
     theta = np.concatenate([2.0 * np.arctan(np.abs(north)), np.pi - 2.0 * np.arctan(np.abs(south))])
     return theta, np.concatenate([-np.angle(north), np.angle(south)])

@@ -1,4 +1,4 @@
-"""Bracketing, bisection, golden-section, and two-sphere ascent utilities."""
+"""Bisection, golden-section search and the two-sphere ascent, each batched."""
 
 from __future__ import annotations
 
@@ -51,36 +51,13 @@ def bisect_roots_vector(
 
 
 def golden_section_min(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
-) -> tuple[float, float]:
-    """Minimum of a unimodal function on [lo, hi]; returns (x, f(x))."""
-    if hi < lo:
-        lo, hi = hi, lo
-    a, b = lo, hi
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def golden_section_min_vector(
     f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``golden_section_min`` on many intervals ``lo <= hi`` at once.
+    """Minimum of a unimodal ``f`` on each interval [lo, hi]; returns (x, f(x)).
 
-    ``f`` must be elementwise.  Each interval takes the scalar search's steps
-    and freezes once its width is at most ``tol`` (one that starts that narrow
-    returns its midpoint), so each result matches the scalar search bitwise.
+    ``lo <= hi`` are floats or arrays, and ``f`` is elementwise.  An interval
+    freezes once its width is at most ``tol`` (one that starts that narrow
+    returns its midpoint), so each gets the bits it would get searched alone.
     """
     a, b = lo, hi
     c = b - _INV_GOLDEN * (b - a)
@@ -88,7 +65,7 @@ def golden_section_min_vector(
     fc, fd = f(c), f(d)
     active = b - a > tol
     while np.any(active):
-        left = fc < fd  # the minimum lies in [a, d]
+        left = np.less(fc, fd)  # the minimum lies in [a, d]; a numpy bool for floats too
         # a frozen interval keeps a and b; its probes are never read again
         b = np.where(active & left, d, b)
         a = np.where(active & ~left, c, a)

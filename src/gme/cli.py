@@ -34,6 +34,7 @@ from .oracle import (
 )
 from .rank2 import g_closed_form, g_from_pure_3qubit, g_numeric
 from .states import (
+    DENSE_QUBIT_CAP,
     GmResult,
     PureState,
     RankTwoCanonical,
@@ -170,7 +171,8 @@ def _dicke_routes(state: SymmetricDickeState, cfg: OracleConfig) -> dict[str, Ro
     if state.non_negative:
         routes["dicke"] = lambda: gm_dicke_nonneg(state)
     routes["symmetric_oracle"] = lambda: gm_symmetric_oracle(state, cfg)
-    routes["pure_oracle"] = lambda: gm_pure_oracle(dicke_to_dense(state), cfg)
+    if state.N <= DENSE_QUBIT_CAP:
+        routes["pure_oracle"] = lambda: gm_pure_oracle(dicke_to_dense(state), cfg)
     return routes
 
 

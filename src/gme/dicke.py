@@ -3,7 +3,9 @@
 For such states the optimal symmetric product spinor can be taken real, so
 the whole problem collapses to maximizing a trigonometric polynomial of one
 mixing angle alpha in [0, pi/2].  Its stationary angles are alpha = atan(t)
-for the real roots t >= 0 of a polynomial of degree at most N (``_majorana``).
+for the real roots t >= 0 of a polynomial D of degree at most N
+(``_majorana``), found for t <= 1 from D and for t > 1 from the polynomial of
+the reversed amplitudes, so that a negligible amplitude cannot swamp them.
 """
 
 from __future__ import annotations

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import reduced_density
 from ._optim import max_on_sphere
 from .oracle import OracleConfig, g_mixed_oracle
 from .states import BlochVector, RankTwoCanonical, ValidationError, _check_canonical_angles
@@ -261,6 +260,6 @@ def g_from_pure_3qubit(
         raise ValidationError("traced_party must be an integer")
     if traced_party not in (0, 1, 2):
         raise ValidationError("traced_party must be 0, 1, or 2")
-    keep = tuple(i for i in range(3) if i != traced_party)
-    rho = reduced_density(psi.amplitudes, 3, keep)
+    tensor = psi.amplitudes.reshape(2, 2, 2)
+    rho = np.tensordot(tensor, tensor.conj(), axes=(traced_party, traced_party)).reshape(4, 4)
     return g_mixed_oracle(rho, cfg)

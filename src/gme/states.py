@@ -169,7 +169,7 @@ class RankTwoCanonical:
         if float(x @ x) > 1.0 + 1e-12:
             raise ValidationError("Bloch vector must satisfy |x| <= 1")
         x = x.copy()
-        if abs(x[1]) < 1e-14:  # exact zero activates the 1-D reduction downstream
+        if abs(x[1]) < 1e-14:  # only an exact zero lets cli._rank2_routes offer rank2_closed
             x[1] = 0.0
         x.flags.writeable = False
         object.__setattr__(self, "gamma1", g1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import golden_section_min_vector
+from ._optim import golden_section_min
 from .rank2 import _ClosedFormContext, _closed_form_value, _require_range, g_numeric
 from .states import CapacityError, RankTwoCanonical, ValidationError
 
@@ -109,7 +109,7 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     over x3 is restricted to the window between the closed form's two linear
     branches, where the overlap is smallest, and located by one golden-section
     search over the cells of 16 gamma1 rows at a time; each cell takes the
-    steps of a scalar search, so the batching does not change the result.
+    steps it would take alone, so the batching does not change the result.
     Ties resolve to the lowest gamma1, then gamma2.
     """
     if not isinstance(resolution, (int, np.integer)):
@@ -132,7 +132,7 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
         rows = cells[start : start + block]
         ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
         lo, hi = ctx.x3_3, ctx.x3_4
-        x, value = golden_section_min_vector(
+        x, value = golden_section_min(
             lambda v: _closed_form_value(v, ctx), lo, hi, tol=GOLDEN_TOL
         )
         # the window can be exactly flat (Bell-pair subspace); canonicalize

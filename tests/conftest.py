@@ -3,11 +3,14 @@
 The reference computations here (partial traces, Pauli expectations,
 stationarity residuals from reduced matrices) are written directly against
 numpy so the tests do not reuse the package's own linear-algebra paths.
+``golden_section_min`` is the package's former scalar golden-section search,
+copied verbatim, the reference for the batched search that replaced it.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,6 +21,32 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (SX, SY, SZ)
+
+
+_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_section_min(
+    f: Callable[[float], float], lo: float, hi: float, tol: float = 1e-10
+) -> tuple[float, float]:
+    """Minimum of a unimodal function on [lo, hi]; returns (x, f(x))."""
+    if hi < lo:
+        lo, hi = hi, lo
+    a, b = lo, hi
+    c = b - _INV_GOLDEN * (b - a)
+    d = a + _INV_GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_GOLDEN * (b - a)
+            fd = f(d)
+    x = 0.5 * (a + b)
+    return x, f(x)
 
 
 def rng_for(seed: int) -> np.random.Generator:

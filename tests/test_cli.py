@@ -308,6 +308,18 @@ class TestCrosscheck:
             ]
             assert f"G^2[sym3q] = {cli._sig(wrong.G_squared)}" in lines
 
+    def test_dicke_above_dense_cap(self, capsys, tmp_path):
+        # no dense route above DENSE_QUBIT_CAP; the Dicke solver and the symmetric oracle remain
+        amps = np.zeros(31)
+        amps[[1, 2]] = 0.6, 0.8
+        path = tmp_path / "dicke30.json"
+        gme.save_state(gme.SymmetricDickeState(30, amps), str(path))
+        code, out, err = run(capsys, "crosscheck", "--file", str(path), "--json")
+        assert code == 0 and err == ""
+        record = json.loads(out)
+        assert set(record["G_squared"]) == {"dicke", "symmetric_oracle"}
+        assert record["max_delta"] <= cli.CROSSCHECK_TOL
+
 
 class TestFigures:
     def test_fig1_shape_and_coincidence(self, capsys, tmp_path):
@@ -460,6 +472,10 @@ class TestRoutes:
                 ["symmetric_oracle", "pure_oracle"],
             ),
             (
+                gme.SymmetricDickeState(21, np.eye(22)[1]),
+                ["dicke", "symmetric_oracle"],
+            ),
+            (
                 gme.SymThreeQubitCanonical(0.0, W_T, 0.0, 0.0),
                 ["sym3q", "dicke", "symmetric_oracle", "pure_oracle", "pair_reduction"],
             ),
@@ -477,7 +493,7 @@ class TestRoutes:
             ),
         ],
         ids=[
-            "pure_n2", "pure_n3", "dicke_nonneg", "dicke_complex",
+            "pure_n2", "pure_n3", "dicke_nonneg", "dicke_complex", "dicke_above_dense_cap",
             "sym3q_nonneg", "sym3q_complex", "rank2_axis", "rank2_off_axis",
         ],
     )
@@ -496,14 +512,20 @@ class TestRoutes:
             "rank2": "mixed_oracle",
         }
 
-    def test_routes_are_lazy(self, capsys, tmp_path):
-        # N = 21 is above the dense cap, so only calling pure_oracle may fail
+    def test_routes_are_lazy(self, capsys, tmp_path, monkeypatch):
+        # every solver but the symmetric oracle fails when called: building the
+        # routes calls none of them, and gm oracle calls only the oracle
+        def fail(*args, **kwargs):
+            raise RuntimeError("route called")
+
+        monkeypatch.setattr(cli, "gm_dicke_nonneg", fail)
+        monkeypatch.setattr(cli, "gm_pure_oracle", fail)
         amps = np.zeros(22)
         amps[1] = 1.0
         state = gme.SymmetricDickeState(21, amps)
         routes = cli._ROUTES["dicke"][1](state, self.CFG)
-        with pytest.raises(gme.CapacityError):
-            routes["pure_oracle"]()
+        with pytest.raises(RuntimeError):
+            routes["dicke"]()
         path = tmp_path / "dicke.json"
         gme.save_state(state, str(path))
         code, out, _ = run(capsys, "oracle", "--file", str(path), "--restarts", "2", "--json")

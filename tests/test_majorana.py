@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,16 @@ class TestStationarySpinors:
         assert np.any(np.abs(thetas - 2 * math.atan(math.sqrt(2.0))) <= 1e-12)
         assert np.all(phis == 0.0)
 
+    @pytest.mark.parametrize(
+        "g, t, h", [(1.0, 0.0, 1e-310), (1.0, 1e-310, 0.0), (1e-310, 0.0, 1.0)]
+    )
+    def test_subnormal_coefficient_on_the_real_route(self, g, t, h):
+        # a subnormal top coefficient of D overflowed the companion matrix (LinAlgError)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = gme.gm_sym3q(gme.SymThreeQubitCanonical(g, t, h, 0.0))
+        assert result.G_squared == 1.0
+
 
 class TestRealStationaryPoints:
     def test_flat_objective_has_none(self):
@@ -67,3 +78,30 @@ class TestRealStationaryPoints:
         # sqrt(3) cos^2 sin peaks at tan(alpha) = 1/sqrt(2)
         roots = real_stationary_points(coefficients(np.array([0.0, 1.0, 0.0, 0.0])))
         assert np.any(np.abs(roots - 1 / math.sqrt(2.0)) <= 1e-12)
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [0.2, 1.0, 0.5, 1e-200, 0.1],
+            [0.0, 1.0, 0.0, 0.0, 1e-281, 0.0],
+            [1, 1, 1, 1, 1e-30, 1],
+            [0.25, 8e-20, 0.38, 0.06, 0.1, 0.5, 0.62, 0.71, 0.19, 0.22, 0.69, 1.0, 0.16, 0.71],
+        ],
+    )
+    def test_negligible_top_coefficient(self, amps):
+        # D's top coefficient is -c_(N-1); near zero it swamped the roots with
+        # t <= 1.  The last state also needs the Newton steps (3.5e-11 short
+        # without them)
+        amps = np.array(amps, dtype=float)
+        state = gme.SymmetricDickeState(len(amps) - 1, amps / np.linalg.norm(amps))
+        oracle = gme.gm_symmetric_oracle(state).G_squared
+        assert gme.gm_dicke_nonneg(state).G_squared >= oracle - 1e-12
+
+    def test_binomial_spread_is_kept(self):
+        # at N = 500 the weights sqrt(C(N, k)) span ~150 decades; a trim that
+        # measured D's coefficients without them lost the maximum (by 1.9e-3)
+        rng = np.random.default_rng(500)
+        amps = np.abs(rng.normal(size=501))
+        state = gme.SymmetricDickeState(500, amps / np.linalg.norm(amps))
+        oracle = gme.gm_symmetric_oracle(state).G_squared
+        assert gme.gm_dicke_nonneg(state).G_squared >= oracle - 1e-12

@@ -14,11 +14,12 @@ import pytest
 from scipy.optimize import minimize
 
 import gme
-from gme._optim import golden_section_min, max_on_sphere
+from gme import _optim
+from gme._optim import max_on_sphere
 from gme._linalg import PAULIS
 from gme.rank2 import _fields
 
-from conftest import random_rank2, rng_for
+from conftest import golden_section_min, random_rank2, rng_for
 
 QUARTER = math.pi / 4
 AGREE_TOL = 1e-12  # |new - reference|
@@ -251,3 +252,22 @@ def test_pair_attains_value(name):
     assert abs(np.linalg.norm(s2) - 1.0) <= 1e-12
     attained = np.trace(rho @ np.kron(projector(s1), projector(s2))).real
     assert abs(attained - 0.25 * value) <= ATTAIN_TOL
+
+
+AXIS = sorted(name for name, st in RANK2.items() if st.x[1] == 0.0 and st.x[0] >= 0.0)
+
+
+@pytest.mark.parametrize("name", AXIS)
+def test_golden_section_on_floats_matches_scalar_reference(name, monkeypatch):
+    """On plain floats the batched search returns the scalar search's (x, f(x)) bitwise."""
+    pairs, scalar = [], golden_section_min
+
+    def both(f, lo, hi, tol):
+        reference = scalar(f, lo, hi, tol)
+        pairs.append((_optim.golden_section_min(f, lo, hi, tol), reference))
+        return reference
+
+    monkeypatch.setitem(globals(), "golden_section_min", both)
+    _g_numeric_axis(RANK2[name])
+    [((x, value), (ref_x, ref_value))] = pairs
+    assert float(x) == ref_x and float(value) == ref_value

@@ -1,4 +1,5 @@
 import math
+from typing import Iterable
 
 import numpy as np
 import pytest
@@ -307,6 +308,20 @@ class TestGClosedForm:
             gme.g_closed_form(0.0, 0.2, 0.5)
 
 
+def reference_reduced_density(
+    amplitudes: np.ndarray, n_qubits: int, keep: Iterable[int]
+) -> np.ndarray:
+    """The package's former ``_linalg.reduced_density``, copied verbatim."""
+    keep_sorted = tuple(sorted(set(int(k) for k in keep)))
+    if any(k < 0 or k >= n_qubits for k in keep_sorted):
+        raise ValueError("kept qubit index out of range")
+    traced = tuple(i for i in range(n_qubits) if i not in keep_sorted)
+    tensor = np.asarray(amplitudes, dtype=complex).reshape((2,) * n_qubits)
+    rho = np.tensordot(tensor, tensor.conj(), axes=(traced, traced))
+    dim = 2 ** len(keep_sorted)
+    return rho.reshape(dim, dim)
+
+
 class TestGFromPure3Qubit:
     def test_ghz(self, ghz_dicke):
         psi = gme.dicke_to_dense(ghz_dicke)
@@ -342,3 +357,12 @@ class TestGFromPure3Qubit:
         psi = random_pure_state(rng_for(3100 + seed), 3)
         values = [gme.g_from_pure_3qubit(psi, party) for party in range(3)]
         assert max(values) - min(values) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reduced_density_reference(self, seed):
+        # the former route: the generic partial trace, then the mixed oracle
+        psi = random_pure_state(rng_for(3200 + seed), 3)
+        for party in (0, 1, np.int64(2)):
+            keep = tuple(i for i in range(3) if i != party)
+            reference = gme.g_mixed_oracle(reference_reduced_density(psi.amplitudes, 3, keep))
+            assert gme.g_from_pure_3qubit(psi, party) == reference

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 import gme
-from gme._optim import golden_section_min
 from gme.wmax import GOLDEN_TOL
 
-from conftest import rng_for
+from conftest import golden_section_min, rng_for
 
 QUARTER = math.pi / 4
 HALF = math.pi / 2
