@@ -246,6 +246,26 @@ def _closed_form_value(x3, ctx: _ClosedFormContext) -> np.ndarray:
     )
 
 
+def _stationarity_quartic(x3, ctx: _ClosedFormContext) -> tuple[np.ndarray, np.ndarray]:
+    """(P, P') elementwise for the rational branch's slope numerator.
+
+    With ``s = amp - damp x3`` the branch is ``amp (1 - x3^2) s / (2 (s^2 - x3^2))``
+    and its slope is ``amp P / (2 (s^2 - x3^2)^2)``, where
+    ``P = 2 x3 s (1 - s^2) + damp (1 - x3^2)(s^2 + x3^2)``: a quartic in x3
+    whose interior roots with ``P' > 0`` are the branch's minimizers.
+    """
+    d = ctx.damp
+    s = ctx.amp - d * x3
+    s_sq, x_sq = s * s, x3 * x3
+    p = 2.0 * x3 * s * (1.0 - s_sq) + d * (1.0 - x_sq) * (s_sq + x_sq)
+    dp = (
+        2.0 * s * (1.0 - s_sq)
+        - 2.0 * d * x3 * (1.0 - 3.0 * s_sq)
+        + 2.0 * d * ((1.0 - x_sq) * (x3 - d * s) - x3 * (s_sq + x_sq))
+    )
+    return p, dp
+
+
 def g_from_pure_3qubit(
     psi, traced_party: int, cfg: OracleConfig | None = None
 ) -> float:

@@ -2,10 +2,12 @@
 
 Restricting to the x1 = x2 = 0 axis (where the overlap is smallest in each
 subspace by convexity and sign symmetry), the per-subspace minimum over x3 is
-located inside the window where the closed form is rational, by one
-golden-section search run on arrays of grid cells at once.  Scanning the
-canonical angle triangle then certifies that the smallest value over all
-subspaces is 4/9, reached by the two-qubit marginal of the W state.
+located inside the window where the closed form is rational: a coarse
+golden-section search brackets it, run on arrays of grid cells at once, and a
+few Newton steps on the quartic numerator of the rational branch's slope
+resolve it to rounding.  Scanning the canonical angle triangle then certifies
+that the smallest value over all subspaces is 4/9, reached by the two-qubit
+marginal of the W state.
 """
 
 from __future__ import annotations
@@ -16,11 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import golden_section_min
-from .rank2 import _ClosedFormContext, _closed_form_value, _require_range, g_numeric
+from .rank2 import (
+    _ClosedFormContext,
+    _closed_form_value,
+    _require_range,
+    _stationarity_quartic,
+    g_numeric,
+)
 from .states import CapacityError, RankTwoCanonical, ValidationError
 
 W_MIN = 4.0 / 9.0
-GOLDEN_TOL = 1e-10
+GOLDEN_TOL = 1e-10  # a window at most this wide is a point: no zero snap
+BRACKET_WIDTH = 5e-2  # golden section stops here; Newton takes over from the midpoint
+NEWTON_STEPS = 4  # three reach rounding from the bracket; the fourth is margin
 _QUARTER = math.pi / 4.0
 _HALF = math.pi / 2.0
 _BLOCK_ROWS = 16  # gamma1 rows per batched search; whole grids cost memory, not time
@@ -107,8 +117,11 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     even resolutions the grid contains pi/4 exactly) and gamma2 over
     ``resolution`` values in [0, min(gamma1, pi/2 - gamma1)].  The minimum
     over x3 is restricted to the window between the closed form's two linear
-    branches, where the overlap is smallest, and located by one golden-section
-    search over the cells of 16 gamma1 rows at a time; each cell takes the
+    branches, where the overlap is smallest.  One golden-section search over
+    the cells of 16 gamma1 rows at a time brackets it to ``BRACKET_WIDTH``,
+    then ``NEWTON_STEPS`` Newton steps on the stationarity quartic, clipped
+    to the window, resolve it; a cell whose quartic has no positive slope
+    there (a flat window) keeps its bracket midpoint.  Each cell takes the
     steps it would take alone, so the batching does not change the result.
     Ties resolve to the lowest gamma1, then gamma2.
     """
@@ -132,9 +145,14 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
         rows = cells[start : start + block]
         ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
         lo, hi = ctx.x3_3, ctx.x3_4
-        x, value = golden_section_min(
-            lambda v: _closed_form_value(v, ctx), lo, hi, tol=GOLDEN_TOL
+        x, _ = golden_section_min(
+            lambda v: _closed_form_value(v, ctx), lo, hi, tol=BRACKET_WIDTH
         )
+        for _ in range(NEWTON_STEPS):
+            p, dp = _stationarity_quartic(x, ctx)
+            ok = np.isfinite(p) & (dp > 0.0)
+            x = np.where(ok, np.clip(x - p / np.where(ok, dp, 1.0), lo, hi), x)
+        value = _closed_form_value(x, ctx)
         # the window can be exactly flat (Bell-pair subspace); canonicalize
         # tied minimizers to the smallest |x3|
         straddles = (hi - lo > GOLDEN_TOL) & (lo < 0.0) & (0.0 < hi)
@@ -150,7 +168,8 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     margin = float(above.min() - min_g) if above.size else 0.0
     spec = (
         f"{resolution}x{resolution} cells; gamma1 in (0, pi/2] step pi/(2*{resolution}), "
-        f"gamma2 in [0, min(gamma1, pi/2 - gamma1)]; golden-section tol {GOLDEN_TOL:g}"
+        f"gamma2 in [0, min(gamma1, pi/2 - gamma1)]; golden-section bracket "
+        f"width {BRACKET_WIDTH:g}, then {NEWTON_STEPS} Newton steps on the stationarity quartic"
     )
     return GlobalMinReport(
         min_g=min_g,

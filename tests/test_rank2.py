@@ -308,6 +308,28 @@ class TestGClosedForm:
             gme.g_closed_form(0.0, 0.2, 0.5)
 
 
+class TestStationarityQuartic:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_slope_and_derivative(self, seed):
+        """P is the rational branch's slope times 2 (s^2 - x^2)^2 / amp, and
+        P' is P's derivative, both against central differences."""
+        rng = rng_for(3600 + seed)
+        g1 = rng.uniform(0.2, math.pi / 2 - 0.05, 40)
+        g2 = rng.uniform(0.0, 1.0, 40) * np.minimum(g1, math.pi / 2 - g1)
+        ctx = gme.rank2._ClosedFormContext.from_angles(g1, g2)
+        x3 = ctx.x3_3 + rng.uniform(0.1, 0.9, 40) * (ctx.x3_4 - ctx.x3_3)
+        p, dp = gme.rank2._stationarity_quartic(x3, ctx)
+        h = 1e-6
+        slope = (
+            gme.rank2._closed_form_value(x3 + h, ctx) - gme.rank2._closed_form_value(x3 - h, ctx)
+        ) / (2.0 * h)
+        s = ctx.amp - ctx.damp * x3
+        assert np.allclose(slope * 2.0 * (s * s - x3 * x3) ** 2 / ctx.amp, p, atol=1e-7)
+        p_plus, _ = gme.rank2._stationarity_quartic(x3 + h, ctx)
+        p_minus, _ = gme.rank2._stationarity_quartic(x3 - h, ctx)
+        assert np.allclose((p_plus - p_minus) / (2.0 * h), dp, atol=1e-7)
+
+
 def reference_reduced_density(
     amplitudes: np.ndarray, n_qubits: int, keep: Iterable[int]
 ) -> np.ndarray:

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import gme
+from gme._optim import golden_section_min as batched_golden_section_min
+from gme.rank2 import _ClosedFormContext, _closed_form_value, _stationarity_quartic
 from gme.wmax import GOLDEN_TOL
 
 from conftest import golden_section_min, rng_for
@@ -227,10 +229,54 @@ class TestScanGlobalMin:
         """
         cells, min_g, argmin, margin = _scalar_scan(resolution)
         report = gme.scan_global_min(resolution)
-        assert np.max(np.abs(report.cells - cells)) <= 1e-12
+        assert np.max(np.abs(report.cells[:, [0, 1, 3]] - cells[:, [0, 1, 3]])) <= 1e-12
+        assert np.max(report.cells[:, 3] - cells[:, 3]) <= 1e-15
         assert abs(report.min_g - min_g) <= 1e-12
-        assert np.max(np.abs(np.array(report.argmin) - np.array(argmin))) <= 1e-12
+        assert np.max(np.abs(np.array(report.argmin[:2]) - np.array(argmin[:2]))) <= 1e-12
         assert abs(report.margin - margin) <= 1e-12
+        # golden section resolves x3 only to about sqrt(eps) where the branch
+        # is flat, so x3 is checked for stationarity and against the reference
+        assert np.max(np.abs(report.cells[:, 2] - cells[:, 2])) <= 1e-5
+        g1, g2, x3 = report.cells[:, :3].T
+        ctx = _ClosedFormContext.from_angles(g1, g2)
+        p, _ = _stationarity_quartic(x3, ctx)
+        settled = (np.abs(p) <= 1e-12) | (x3 == ctx.x3_3) | (x3 == ctx.x3_4) | (x3 == 0.0)
+        assert np.all(settled)
+
+    @pytest.mark.parametrize("resolution", [32, 64, 256])
+    def test_symmetric_line_is_exact(self, resolution):
+        """The last cell of each row with pi/4 <= gamma1 < pi/2 lies on the
+        symmetric-subspace line, where the minimizer has a closed form."""
+        report = gme.scan_global_min(resolution)
+        last = report.cells[resolution - 1 :: resolution]
+        line = last[(last[:, 0] >= QUARTER) & (last[:, 0] < HALF)]
+        assert line.shape[0] >= resolution // 2
+        for g1, _, x3, value in line:
+            assert abs(x3 - gme.x3_star_symmetric(float(g1))) <= 1e-10
+            assert abs(value - gme.g_min_symmetric(float(g1))) <= 1e-14
+
+    def test_argmin_is_the_w_point(self):
+        report = gme.scan_global_min(256)
+        expected = np.array([QUARTER, QUARTER, -1.0 / 3.0])
+        assert np.max(np.abs(np.array(report.argmin) - expected)) <= 1e-12
+
+    def test_never_above_fine_golden_search(self):
+        """Every cell is at most the batched golden search run to GOLDEN_TOL
+        over the same 16-row blocks, with the same zero snap."""
+        resolution = 256
+        report = gme.scan_global_min(resolution)
+        block = gme.wmax._BLOCK_ROWS * resolution
+        for start in range(0, report.cells.shape[0], block):
+            rows = report.cells[start : start + block]
+            ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
+            lo, hi = ctx.x3_3, ctx.x3_4
+            x, value = batched_golden_section_min(
+                lambda v: _closed_form_value(v, ctx), lo, hi, tol=GOLDEN_TOL
+            )
+            straddles = (hi - lo > GOLDEN_TOL) & (lo < 0.0) & (0.0 < hi)
+            at_zero = _closed_form_value(np.where(straddles, 0.0, x), ctx)
+            reference = np.where(straddles & (at_zero <= value + 1e-12), at_zero, value)
+            assert np.max(rows[:, 3] - reference) <= 1e-15
 
     def test_locates_w_minimum(self):
         report = gme.scan_global_min(32)
