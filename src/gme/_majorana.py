@@ -1,4 +1,4 @@
-"""Stationary spinors of a symmetric product overlap as polynomial roots.
+"""Stationary spinors of a symmetric product overlap.
 
 The overlap of sum_m a_m |D_m> with (|0> + w|1>)^(x)N / (1 + |w|^2)^(N/2) is
 P(u) / (1 + |u|^2)^(N/2) with u = conj(w) and the Majorana polynomial
@@ -8,15 +8,17 @@ taken as a second unknown, stationarity in u gives v(u) = -P'(u) / R(u),
 R = u P' - N P, and stationarity in v then leaves the polynomial
 E(u) = P sum_{m>=1} m conj(c_m) (-P')^(m-1) R^(N-m)
        + u sum_m conj(c_m) (-P')^m R^(N-m).
-Its roots with v(u) = conj(u) are the stationary spinors; for real c >= 0
-the real roots of D(t) = (1 + t^2) P'(t) - N t P(t) give the real ones.  A
-near-zero c_m gives E or D a negligible top coefficient, so each is solved per
-hemisphere: |u| <= 1 from c, |u| >= 1 as 1/u' from the reversed c (the
-bit-flipped state).  Polynomials are coefficient arrays in ascending powers.
+Its roots with v(u) = conj(u) are the stationary spinors.  A near-zero c_m
+gives E a negligible top coefficient, so it is solved per hemisphere:
+|u| <= 1 from c, |u| >= 1 as 1/u' from the reversed c (the bit-flipped
+state).  Polynomials are coefficient arrays in ascending powers.  For real
+c >= 0 the real spinors w = tan(alpha) are the stationary angles of
+f(alpha) = sum_m c_m cos^(N-m) sin^m(alpha), which one log-space kernel finds.
 """
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -25,13 +27,14 @@ from numpy.polynomial import polynomial as poly
 from .states import sqrt_binomial
 
 CONJUGATE_TOL = 1e-6  # |v(u) - conj(u)| allowed per unit of 1 + |u|
-REAL_TOL = 1e-6  # |Im t| allowed per unit of 1 + |t| for a real root
 FLAT_TOL = 1e-13  # a kernel this small against its terms is zero to rounding
 POLISH_STEPS = 4  # Newton steps on each kept root
 PINV_RCOND = 1e-9  # Newton directions flatter than this, relative, take no step
 DISC_RADIUS = 1.0 + 1e-6  # each hemisphere's |u| bound; they overlap at the equator
 TRIM_TOL = 1e-20  # top coefficients below this, relative, are dropped; E's noise is ~1e-17
-NEWTON_STEPS = 2  # Newton steps on each real root of D
+GRID_CELLS_PER_SQRT_N = 16  # about ten grid cells to the ~1/sqrt(N) width of a term's bump
+POLE_GAP = 1e-9  # slope samples this near each pole; a maximum nearer gains ~N POLE_GAP^2
+ANGLE_STEPS = 30  # cap on the Newton-or-bisection steps per bracket
 
 
 def coefficients(amplitudes: np.ndarray) -> np.ndarray:
@@ -40,65 +43,72 @@ def coefficients(amplitudes: np.ndarray) -> np.ndarray:
     return np.array([a * sqrt_binomial(n, m) for m, a in enumerate(amplitudes)])
 
 
-def _flat(kernel: np.ndarray, *terms: np.ndarray) -> bool:
-    return np.max(np.abs(kernel)) <= FLAT_TOL * max(np.max(np.abs(t)) for t in terms)
+def angle_kernel(coeffs: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, ...]:
+    """log f, the slope g and the Newton step g / g' at each angle 0 < alpha < pi/2.
 
-
-def _roots(
-    p: np.ndarray, *terms: np.ndarray, scale: np.ndarray | float = 1.0
-) -> np.ndarray | None:
-    """Roots of p; None when p is zero to rounding against its terms.
-
-    Top coefficients below TRIM_TOL of the largest, each measured in units of
-    its ``scale``, only add roots far outside the unit disc and swamp the
-    companion matrix, so they are dropped.
+    f(alpha) = sum_m c_m cos^(N-m) sin^m(alpha) for c_m >= 0 has
+    f' = f g / (sin cos), g = E_w[m] - N sin^2 = E_w[m] cos^2 - E_w[N - m] sin^2
+    (the last form keeps its sign exact near the poles) and
+    g' = Var_w(m) / (sin cos) - N sin(2 alpha), where the weights w_m, f's
+    terms over f, are a softmax of their logarithms, so no term overflows.
     """
-    if _flat(p, *terms):
-        return None
-    size = np.abs(p) / scale
-    return poly.polyroots(p[: np.flatnonzero(size > TRIM_TOL * np.max(size))[-1] + 1])
+    n, m = len(coeffs) - 1, np.flatnonzero(coeffs)
+    cos, sin = np.cos(alpha), np.sin(alpha)
+    log_terms = np.log(coeffs[m]) + np.log(cos)[:, None] * (n - m) + np.log(sin)[:, None] * m
+    top = log_terms.max(axis=1)
+    w = np.exp(log_terms - top[:, None])
+    total = w.sum(axis=1)
+    mean, rest, cross = (w @ np.stack([m, n - m, m * (n - m)], axis=1)).T / total
+    g = mean * cos * cos - rest * sin * sin
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        newton = g / ((mean * rest - cross) / (sin * cos) - 2.0 * n * sin * cos)
+    return top + np.log(total), g, newton
 
 
-def _real_roots(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """D of c and its real roots t >= 0; none when D is zero to rounding."""
-    n = len(c) - 1
-    rising = poly.polymul([1.0, 0.0, 1.0], poly.polyder(c))
-    falling = n * poly.polymulx(c)
-    d = poly.polysub(rising, falling)
-    # D_k carries sqrt(C(N, k)), whose hundreds of decades at large N are no
-    # sign of a negligible amplitude
-    binomial = np.cumprod(np.sqrt(np.r_[1.0, np.arange(n, 0, -1) / np.arange(1.0, n + 1)]))
-    t = _roots(d, rising, falling, scale=binomial[: len(d)])
-    if t is None:
-        return d, np.empty(0)
-    t = t[np.abs(t.imag) <= REAL_TOL * (1.0 + np.abs(t))].real
-    return d, t[t >= 0.0]
+def stationary_angles(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every interior alpha where f is stationary, and f there; none when f is flat.
 
-
-def _newton(d: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Newton steps on roots of d in the disc; a step out of it (a double root's) is not taken."""
-    slope = poly.polyder(d)
-    for _ in range(NEWTON_STEPS):
-        powers = t[:, None] ** np.arange(len(d))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            moved = t - (powers @ d) / (powers[:, : len(slope)] @ slope)
-        t = np.where(np.abs(moved) <= DISC_RADIUS, moved, t)
-    return t
+    g's sign changes are bracketed at POLE_GAP from each pole, where its limit
+    may be 0, and on the midpoints of an even number of polar cells, which
+    keeps pi/4, where a mirror-symmetric state's g vanishes, off the grid.
+    Newton steps on g refine each bracket, bisecting where a step would leave
+    it, until no angle moves by more than four ulps.
+    """
+    n = len(coeffs) - 1
+    cells = 2 * (int(0.5 * GRID_CELLS_PER_SQRT_N * math.sqrt(n)) + 8)
+    grid = np.r_[POLE_GAP, (np.arange(cells) + 0.5) * (0.5 * np.pi / cells), 0.5 * np.pi - POLE_GAP]
+    slope = angle_kernel(coeffs, grid)[1]
+    if np.max(np.abs(slope)) <= FLAT_TOL * n:
+        return np.empty(0), np.empty(0)
+    cross = np.flatnonzero(slope[:-1] * slope[1:] < 0.0)
+    lo, hi, sign = grid[cross], grid[cross + 1], np.sign(slope[cross])
+    step = lo + (hi - lo) * slope[cross] / (slope[cross] - slope[cross + 1])
+    for _ in range(ANGLE_STEPS):
+        alpha = step
+        log_f, g, newton = angle_kernel(coeffs, alpha)
+        lo, hi = np.where(g * sign > 0.0, alpha, lo), np.where(g * sign < 0.0, alpha, hi)
+        step = alpha - newton
+        step = np.where((step >= lo) & (step <= hi), step, 0.5 * (lo + hi))
+        if np.all(np.abs(step - alpha) <= 4.0 * np.spacing(alpha)):
+            break
+    return alpha, np.exp(log_f)
 
 
 def real_stationary_points(coeffs: np.ndarray) -> np.ndarray:
-    """Every t = tan(alpha) >= 0 where sum_m c_m cos^(N-m) sin^m(alpha) is stationary.
+    """Every t = tan(alpha) > 0 where f is stationary, for real c >= 0; none when f is flat."""
+    return np.tan(stationary_angles(coeffs)[0])
 
-    The derivative in alpha is cos^N(alpha) D(t), and D's top coefficient is
-    -c_(N-1): t <= 1 comes from D and t >= 1 as 1/t' from the D of the
-    reversed c, each half Newton-polished on its own untrimmed D.  A flat
-    objective (D zero to rounding) yields no points; the endpoints are the
-    caller's.
+
+def _roots(p: np.ndarray, *terms: np.ndarray) -> np.ndarray | None:
+    """Roots of p; None when p is zero to rounding against its terms.
+
+    Top coefficients below TRIM_TOL of the largest only add roots far outside
+    the unit disc and swamp the companion matrix, so they are dropped.
     """
-    (d, near), (d_rev, far) = _real_roots(coeffs), _real_roots(coeffs[::-1])
-    near = _newton(d, near[near <= DISC_RADIUS])
-    far = _newton(d_rev, far[far <= DISC_RADIUS])
-    return np.concatenate([near[near >= 0.0], 1.0 / far[far > 0.0]])
+    size = np.abs(p)
+    if np.max(size) <= FLAT_TOL * max(np.max(np.abs(t)) for t in terms):
+        return None
+    return poly.polyroots(p[: np.flatnonzero(size > TRIM_TOL * np.max(size))[-1] + 1])
 
 
 def _polish(c: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -154,13 +164,17 @@ def stationary_spinors(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A large root of E hangs on a small leading coefficient, so |w| > 1 is
     solved as |w'| < 1 for the bit-flipped state (c reversed, w' = 1/w); its
     w' = 0 is the pole theta = pi.  A root on the equator may come from both
-    sides.  When E is zero to rounding, only one c_m is nonzero and the
-    overlap depends on |w| alone: the real kernel on |c_m|, again on each
-    side, gives the moduli, taken at phi = 0.
+    sides.  When E is zero to rounding, one c_m carries the state and the
+    overlap depends on |w| alone: the single-angle kernel on |c| gives the
+    interior moduli, taken at phi = 0, and each pole is a candidate unless c_m
+    is its neighbour, c_1 for theta = 0 and c_(N-1) for theta = pi.
     """
     c = np.asarray(coeffs, dtype=complex)
     north, south = _hemisphere(c), _hemisphere(c[::-1])
     if north is None or south is None:
-        north, south = (_real_roots(np.abs(x))[1].astype(complex) for x in (c, c[::-1]))
+        m = int(np.argmax(np.abs(c)))
+        poles = [pole for pole, k in ((0.0, 1), (np.pi, len(c) - 2)) if m != k]
+        theta = np.concatenate([2.0 * stationary_angles(np.abs(c))[0], poles])
+        return theta, np.zeros_like(theta)
     theta = np.concatenate([2.0 * np.arctan(np.abs(north)), np.pi - 2.0 * np.arctan(np.abs(south))])
     return theta, np.concatenate([-np.angle(north), np.angle(south)])

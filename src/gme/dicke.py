@@ -2,10 +2,9 @@
 
 For such states the optimal symmetric product spinor can be taken real, so
 the whole problem collapses to maximizing a trigonometric polynomial of one
-mixing angle alpha in [0, pi/2].  Its stationary angles are alpha = atan(t)
-for the real roots t >= 0 of a polynomial D of degree at most N
-(``_majorana``), found for t <= 1 from D and for t > 1 from the polynomial of
-the reversed amplitudes, so that a negligible amplitude cannot swamp them.
+mixing angle alpha in [0, pi/2].  One log-space kernel (``_majorana``)
+evaluates that objective and finds its stationary angles from the same
+softmax weights of its terms, so no term overflows or underflows.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._majorana import coefficients, real_stationary_points
+from ._majorana import angle_kernel, coefficients, stationary_angles
 from .states import (
     BlochVector,
     GmResult,
@@ -49,39 +48,27 @@ def dicke_objective(state: SymmetricDickeState, alpha: float) -> float:
 
     Equals sum_m sqrt(C(N, m)) a_m cos^(N-m)(alpha) sin^m(alpha); valid only
     for non-negative amplitude vectors, where the relative phase of the spinor
-    is optimally zero.
+    is optimally zero.  Angles within the tolerated 1e-12 outside [0, pi/2]
+    are the nearer endpoint.
     """
     amps = _require_non_negative(state)
     if not -1e-12 <= alpha <= math.pi / 2 + 1e-12:
         raise ValidationError("alpha must lie in [0, pi/2]")
-    return float(_objective_vector(coefficients(amps), state.N, np.asarray(alpha, dtype=float)))
-
-
-def _objective_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarray:
-    cos_a = np.cos(alphas)
-    sin_a = np.sin(alphas)
-    total = np.zeros_like(alphas)
-    for m in range(n + 1):
-        if coeff[m] == 0.0:
-            continue
-        total += coeff[m] * cos_a ** (n - m) * sin_a**m
-    return total
+    if not 0.0 < alpha < math.pi / 2:
+        return float(amps[0] if alpha <= 0.0 else amps[-1])
+    return float(np.exp(angle_kernel(coefficients(amps), np.array([alpha]))[0][0]))
 
 
 def dicke_critical_points(state: SymmetricDickeState) -> list[DickeObjectiveSample]:
-    """Objective samples at every stationary angle plus both endpoints.
+    """Objective samples at both endpoints and every stationary angle between.
 
-    The derivative of the objective is cos^N(alpha) D(tan(alpha)) with
-    D(t) = (1 + t^2) P'(t) - N t P(t) and P(t) = sum_m sqrt(C(N, m)) a_m t^m,
-    so the stationary angles are atan(t) for the real roots t >= 0 of D.  A
-    flat objective (D identically zero) is sampled at the endpoints only.
+    The endpoints alpha = 0 and pi/2 take the values a_0 and a_N.  A flat
+    objective is sampled at the endpoints only.
     """
     amps = _require_non_negative(state)
-    coeff = coefficients(amps)
-    roots = np.arctan(real_stationary_points(coeff))
-    alphas = sorted({0.0, math.pi / 2, *roots.tolist()})
-    values = _objective_vector(coeff, state.N, np.array(alphas))
-    return [DickeObjectiveSample(a, float(v)) for a, v in zip(alphas, values)]
+    alphas, values = stationary_angles(coefficients(amps))
+    alphas, values = np.r_[0.0, alphas, math.pi / 2], np.r_[amps[0], values, amps[-1]]
+    return [DickeObjectiveSample(float(a), float(v)) for a, v in zip(alphas, values)]
 
 
 def gm_dicke_nonneg(state: SymmetricDickeState) -> GmResult:
@@ -95,9 +82,5 @@ def gm_dicke_nonneg(state: SymmetricDickeState) -> GmResult:
     # samples are sorted by alpha, so the first near-tie wins
     chosen = next(s for s in samples if s.value >= best_value - TIE_TOL)
 
-    bloch = BlochVector(
-        np.array([math.sin(2 * chosen.alpha), 0.0, math.cos(2 * chosen.alpha)])
-    )
-    return GmResult.from_overlap(
-        chosen.value, closest_product=(bloch,) * state.N, method="dicke"
-    )
+    bloch = BlochVector(np.array([math.sin(2 * chosen.alpha), 0.0, math.cos(2 * chosen.alpha)]))
+    return GmResult.from_overlap(chosen.value, closest_product=(bloch,) * state.N, method="dicke")

@@ -23,7 +23,7 @@ from ._linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
 
 NORM_REJECT_TOL = 1e-6  # larger deviations from unit norm are user errors
 DENSE_QUBIT_CAP = 20  # dense vectors above this size are refused
-DICKE_QUBIT_CAP = 2000  # the Dicke kernel overflows from N = 2048, sqrt(C(N, m)) from 2054
+DICKE_QUBIT_CAP = 2000  # sqrt(C(N, m)) in the symmetric oracle overflows from N = 2054
 
 
 class ValidationError(ValueError):

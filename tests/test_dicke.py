@@ -5,7 +5,6 @@ import pytest
 
 import gme
 from gme._optim import bisect_roots_vector
-from gme.dicke import _objective_vector
 from gme.states import sqrt_binomial
 
 from conftest import rng_for
@@ -19,8 +18,9 @@ def random_nonneg_dicke(rng, n):
     return gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
 
 
-# The grid-plus-bisection search that the polynomial roots replaced, kept as
-# the reference: derivative sign changes on 512 N grid points, each bisected.
+# The grid-plus-bisection search that preceded the angle kernel, kept as the
+# reference: derivative sign changes on 512 N grid points, each bisected, with
+# the per-term objective that dicke.py evaluated before its log-space kernel.
 
 
 def _derivative_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarray:
@@ -34,6 +34,17 @@ def _derivative_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndar
             total += coeff[m] * m * cos_a ** (n - m + 1) * sin_a ** (m - 1)
         if m <= n - 1:
             total -= coeff[m] * (n - m) * cos_a ** (n - m - 1) * sin_a ** (m + 1)
+    return total
+
+
+def _objective_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarray:
+    cos_a = np.cos(alphas)
+    sin_a = np.sin(alphas)
+    total = np.zeros_like(alphas)
+    for m in range(n + 1):
+        if coeff[m] == 0.0:
+            continue
+        total += coeff[m] * cos_a ** (n - m) * sin_a**m
     return total
 
 
@@ -230,3 +241,37 @@ class TestGmDickeNonneg:
             chosen = best_sample(gme.dicke_critical_points(st))
             assert abs(chosen.alpha - reference.alpha) <= 1e-9
             assert abs(chosen.value - reference.value) <= 1e-13
+
+    @pytest.mark.parametrize(
+        "amps",
+        [
+            [0.32880515, 0.01779923, 0.94423004],
+            [0.94423004, 0.01779923, 0.32880515],
+            [1.0, 1e-3, 0.0, 0.0, 0.5],
+            [0.5, 0.0, 0.0, 1e-3, 1.0],
+        ],
+    )
+    def test_stationary_angle_next_to_a_pole(self, amps):
+        # the maximum lies within half a grid cell of a pole, where the
+        # slope's limit is 0 and only a sample beside the pole shows its sign
+        amps = np.array(amps)
+        st = gme.SymmetricDickeState(len(amps) - 1, amps / np.linalg.norm(amps))
+        oracle = gme.gm_symmetric_oracle(st).G_squared
+        assert gme.gm_dicke_nonneg(st).G_squared >= oracle - 1e-12
+
+
+def _sparse_large_n():
+    for n in (100, 400, 600, 1000, 2000):
+        for spec in ({1: 1.0, n // 3: 0.5}, {3: 1.0, int(0.45 * n): 0.5, int(0.75 * n): 0.7}):
+            yield pytest.param(n, spec, id=f"N{n}-" + "-".join(map(str, spec)))
+
+
+@pytest.mark.parametrize("n, spec", _sparse_large_n())
+def test_sparse_large_n_matches_symmetric_oracle(n, spec):
+    # two or three amplitudes of up to 2000 qubits span hundreds of decades
+    # of coefficients; a_1 = 1, a_(N/3) = 0.5 lost its maximum from N = 400
+    amps = np.zeros(n + 1)
+    amps[list(spec)] = list(spec.values())
+    st = gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
+    oracle = gme.gm_symmetric_oracle(st).G_squared
+    assert abs(gme.gm_dicke_nonneg(st).G_squared - oracle) <= 1e-12

@@ -62,11 +62,29 @@ class TestStationarySpinors:
         "g, t, h", [(1.0, 0.0, 1e-310), (1.0, 1e-310, 0.0), (1e-310, 0.0, 1.0)]
     )
     def test_subnormal_coefficient_on_the_real_route(self, g, t, h):
-        # a subnormal top coefficient of D overflowed the companion matrix (LinAlgError)
+        # a subnormal coefficient next to a dominant one must raise no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = gme.gm_sym3q(gme.SymThreeQubitCanonical(g, t, h, 0.0))
         assert result.G_squared == 1.0
+
+    @pytest.mark.parametrize(
+        "g, t, h, thetas",
+        [
+            (1.0, 0.0, 0.0, [0.0, math.pi]),
+            (0.0, 1.0 / math.sqrt(3.0), 0.0, [0.0, 2.0 * math.atan(math.sqrt(2.0))]),
+            (0.0, 0.0, 1.0, [0.0, math.pi]),
+            (1.0, 0.0, 1e-310, [0.0, math.pi]),
+            (1.0, 1e-310, 0.0, [0.0, math.pi]),
+            (1e-310, 0.0, 1.0, [0.0, math.pi]),
+        ],
+    )
+    def test_real_route_candidate_trail(self, g, t, h, thetas):
+        # one c_m carries each state; the pole theta = pi is a candidate unless
+        # m = N - 1, so the W-like t-only state has none there
+        result = gme.gm_sym3q(gme.SymThreeQubitCanonical(g, t, h, 0.0))
+        assert [r.case_tag for r in result.candidates] == [gme.CaseTag.CASE1, gme.CaseTag.CASE22]
+        assert [r.theta for r in result.candidates] == pytest.approx(thetas, abs=1e-12)
 
 
 class TestRealStationaryPoints:
@@ -89,17 +107,18 @@ class TestRealStationaryPoints:
         ],
     )
     def test_negligible_top_coefficient(self, amps):
-        # D's top coefficient is -c_(N-1); near zero it swamped the roots with
-        # t <= 1.  The last state also needs the Newton steps (3.5e-11 short
-        # without them)
+        # a coefficient tens to hundreds of decades below the others must not
+        # hide a stationary angle.  The last state needs its angle refined to
+        # rounding (3.5e-11 short otherwise)
         amps = np.array(amps, dtype=float)
         state = gme.SymmetricDickeState(len(amps) - 1, amps / np.linalg.norm(amps))
         oracle = gme.gm_symmetric_oracle(state).G_squared
         assert gme.gm_dicke_nonneg(state).G_squared >= oracle - 1e-12
 
     def test_binomial_spread_is_kept(self):
-        # at N = 500 the weights sqrt(C(N, k)) span ~150 decades; a trim that
-        # measured D's coefficients without them lost the maximum (by 1.9e-3)
+        # at N = 500 the weights sqrt(C(N, k)) span ~150 decades, which are no
+        # sign of a negligible amplitude (a trim that took them for one lost
+        # the maximum by 1.9e-3)
         rng = np.random.default_rng(500)
         amps = np.abs(rng.normal(size=501))
         state = gme.SymmetricDickeState(500, amps / np.linalg.norm(amps))
