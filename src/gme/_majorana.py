@@ -24,7 +24,7 @@ from functools import reduce
 import numpy as np
 from numpy.polynomial import polynomial as poly
 
-from .states import sqrt_binomial
+from .states import sqrt_binomials
 
 CONJUGATE_TOL = 1e-6  # |v(u) - conj(u)| allowed per unit of 1 + |u|
 FLAT_TOL = 1e-13  # a kernel this small against its terms is zero to rounding
@@ -38,9 +38,8 @@ ANGLE_STEPS = 30  # cap on the Newton-or-bisection steps per bracket
 
 
 def coefficients(amplitudes: np.ndarray) -> np.ndarray:
-    """Majorana coefficients c_m = a_m sqrt(C(N, m)) of Dicke amplitudes a_m."""
-    n = len(amplitudes) - 1
-    return np.array([a * sqrt_binomial(n, m) for m, a in enumerate(amplitudes)])
+    """Majorana coefficients c_m = a_m sqrt(C(N, m)) (:func:`states.sqrt_binomials`)."""
+    return amplitudes * sqrt_binomials(len(amplitudes) - 1)
 
 
 def angle_kernel(coeffs: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, ...]:

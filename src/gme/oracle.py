@@ -32,7 +32,7 @@ from .states import (
     PureState,
     SymmetricDickeState,
     ValidationError,
-    sqrt_binomial,
+    sqrt_binomials,
 )
 
 DEFAULT_SEED = 42
@@ -254,7 +254,7 @@ def gm_symmetric_oracle(
     del cfg  # deterministic; kept for signature symmetry with the pure oracle
     n = state.N
     m = np.arange(n + 1)
-    coeff = state.amplitudes * np.array([sqrt_binomial(n, k) for k in m])
+    coeff = state.amplitudes * sqrt_binomials(n)
     alphas = (np.arange(_SYM_GRID) + 0.5) * (0.5 * math.pi / _SYM_GRID)
     phases = np.arange(_SYM_GRID) * (2.0 * math.pi / _SYM_GRID)
     basis = np.cos(alphas)[:, None] ** (n - m) * np.sin(alphas)[:, None] ** m

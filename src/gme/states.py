@@ -19,11 +19,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
-
 NORM_REJECT_TOL = 1e-6  # larger deviations from unit norm are user errors
 DENSE_QUBIT_CAP = 20  # dense vectors above this size are refused
-DICKE_QUBIT_CAP = 2000  # sqrt(C(N, m)) in the symmetric oracle overflows from N = 2054
+DICKE_QUBIT_CAP = 2000  # sqrt_binomials overflows a double from N = 2054
 
 
 class ValidationError(ValueError):
@@ -151,7 +149,7 @@ class RankTwoCanonical:
 
     ``gamma1``/``gamma2`` fix the rank-two subspace (0 <= gamma2 <= gamma1 <=
     pi/2 with gamma1 + gamma2 <= pi/2); ``x`` is the Bloch vector of the state
-    inside that subspace (norm at most 1).
+    in that subspace's basis |e0>, |e1> (norm at most 1; see :func:`rank2_to_matrix`).
     """
 
     gamma1: float
@@ -260,11 +258,18 @@ class GmResult:
         return cls(G=math.sqrt(g_sq), G_squared=g_sq, E_G=1.0 - g_sq, **kwargs)
 
 
-def sqrt_binomial(n: int, m: int) -> float:
-    """sqrt(C(n, m)) through log-gamma, stable for any desk-scale n."""
-    return math.exp(
-        0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1))
-    )
+def sqrt_binomials(n: int) -> np.ndarray:
+    """sqrt(C(n, m)) for m = 0..n, each within 2.2e-16 relative of exact.
+
+    C(n, m) = C(n, m - 1) (n - m + 1) / m in integers up to m = n/2, mirrored
+    beyond; a C(n, m) past a double's range takes its integer square root
+    first, and from n = 2054 that overflows too (OverflowError).
+    """
+    half, c = [], 1
+    for m in range(n // 2 + 1):
+        half.append(math.sqrt(c) if c.bit_length() < 1024 else float(math.isqrt(c)))
+        c = c * (n - m) // (m + 1)
+    return np.array(half + (half[::-1] if n % 2 else half[-2::-1]))
 
 
 def dicke_to_dense(state: SymmetricDickeState) -> PureState:
@@ -279,7 +284,7 @@ def dicke_to_dense(state: SymmetricDickeState) -> PureState:
     weights = np.zeros(1, dtype=np.int64)  # Hamming weight of each index, one bit per doubling
     for _ in range(n):
         weights = np.concatenate([weights, weights + 1])
-    scale = np.array([1.0 / sqrt_binomial(n, m) for m in range(n + 1)])
+    scale = 1.0 / sqrt_binomials(n)
     amps = state.amplitudes[weights] * scale[weights]
     return PureState(n_qubits=n, amplitudes=amps)
 
@@ -309,51 +314,21 @@ def sym3q_to_dicke(state: SymThreeQubitCanonical) -> SymmetricDickeState:
     return SymmetricDickeState(N=3, amplitudes=amps)
 
 
-def _rank2_operators(gamma1: float, gamma2: float) -> tuple[np.ndarray, ...]:
-    u = math.cos(gamma1) * math.cos(gamma2)
-    v = math.sin(gamma1) * math.sin(gamma2)
-    z1 = math.sin(gamma1) * math.cos(gamma2)
-    z2 = math.cos(gamma1) * math.sin(gamma2)
-    eye4 = np.kron(ID2, ID2)
-    proj = 0.5 * (
-        eye4
-        + u * np.kron(SIGMA_Z, ID2)
-        + v * np.kron(ID2, SIGMA_Z)
-        + z1 * np.kron(SIGMA_X, SIGMA_X)
-        + z2 * np.kron(SIGMA_Y, SIGMA_Y)
-    )
-    op1 = 0.5 * (
-        math.sin(gamma1) * np.kron(SIGMA_X, ID2)
-        + math.cos(gamma2) * np.kron(ID2, SIGMA_X)
-        + math.sin(gamma2) * np.kron(SIGMA_X, SIGMA_Z)
-        + math.cos(gamma1) * np.kron(SIGMA_Z, SIGMA_X)
-    )
-    op2 = 0.5 * (
-        math.sin(gamma2) * np.kron(SIGMA_Y, ID2)
-        + math.cos(gamma1) * np.kron(ID2, SIGMA_Y)
-        + math.sin(gamma1) * np.kron(SIGMA_Y, SIGMA_Z)
-        + math.cos(gamma2) * np.kron(SIGMA_Z, SIGMA_Y)
-    )
-    op3 = 0.5 * (
-        v * np.kron(SIGMA_Z, ID2)
-        + u * np.kron(ID2, SIGMA_Z)
-        - z2 * np.kron(SIGMA_X, SIGMA_X)
-        - z1 * np.kron(SIGMA_Y, SIGMA_Y)
-        + np.kron(SIGMA_Z, SIGMA_Z)
-    )
-    return proj, op1, op2, op3
-
-
 def rank2_to_matrix(state: RankTwoCanonical) -> np.ndarray:
-    """Density matrix of the canonical rank-two state.
+    """Density matrix 1/2 V (I + x . sigma) V^dagger of the canonical rank-two state.
 
-    Assembled as half the subspace projector plus the Bloch components times
-    the subspace Pauli operators.  The result is Hermitian, trace one, and
-    positive semidefinite with at most two nonzero eigenvalues.
+    V's columns |e0> = cos(d/2)|00> + sin(d/2)|11> and |e1> = cos(s/2)|01> +
+    sin(s/2)|10>, d = gamma1 - gamma2 and s = gamma1 + gamma2, span the
+    subspace, and ``x`` is the state's Bloch vector in that basis.  The result
+    is Hermitian, trace one, and positive semidefinite of rank at most two.
     """
-    proj, op1, op2, op3 = _rank2_operators(state.gamma1, state.gamma2)
+    d, s = state.gamma1 - state.gamma2, state.gamma1 + state.gamma2
+    basis = np.zeros((4, 2))
+    basis[[0, 3], 0] = math.cos(0.5 * d), math.sin(0.5 * d)
+    basis[[1, 2], 1] = math.cos(0.5 * s), math.sin(0.5 * s)
     x1, x2, x3 = state.x
-    return 0.5 * (proj + x1 * op1 + x2 * op2 + x3 * op3)
+    bloch = 0.5 * np.array([[1.0 + x3, x1 - 1j * x2], [x1 + 1j * x2, 1.0 - x3]])
+    return basis @ bloch @ basis.T
 
 
 # ---------------------------------------------------------------------------

@@ -205,19 +205,19 @@ def verify_w_uniqueness() -> bool:
     (b) the overlap in the W subspace is rotation-invariant about x3, so the
     x2 direction is covered by the x1 samples.
     """
+    sampled = {}
     for x1 in UNIQUENESS_X1:
         bound = uniqueness_bound(x1)
         if x1 > 0.0 and not bound > W_MIN:
             return False
         if x1 <= _X1_PHYSICAL_MAX:
             state = RankTwoCanonical(_QUARTER, _QUARTER, np.array([x1, 0.0, -1.0 / 3.0]))
-            if g_numeric(state) < bound - 1e-9:
+            sampled[x1] = g_numeric(state)
+            if sampled[x1] < bound - 1e-9:
                 return False
 
     for radius in (0.1, 0.5, 0.9):
-        reference = g_numeric(
-            RankTwoCanonical(_QUARTER, _QUARTER, np.array([radius, 0.0, -1.0 / 3.0]))
-        )
+        reference = sampled[radius]  # the x1 = radius sample is the unrotated state
         for angle in (0.7, 2.1, 4.4):
             rotated = RankTwoCanonical(
                 _QUARTER,

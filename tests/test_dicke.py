@@ -1,11 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import gme
 from gme._optim import bisect_roots_vector
-from gme.states import sqrt_binomial
+from gme.states import sqrt_binomials
 
 from conftest import rng_for
 
@@ -51,7 +52,7 @@ def _objective_vector(coeff: np.ndarray, n: int, alphas: np.ndarray) -> np.ndarr
 def grid_critical_points(state):
     amps = np.maximum(state.amplitudes.real, 0.0)
     n = state.N
-    coeff = np.array([sqrt_binomial(n, m) * amps[m] for m in range(n + 1)])
+    coeff = sqrt_binomials(n) * amps
 
     grid = np.linspace(0.0, math.pi / 2, GRID_POINTS_PER_QUBIT * n)
     deriv = _derivative_vector(coeff, n, grid)
@@ -86,10 +87,11 @@ def loop_objective(state, alpha):
     """The per-term loop ``dicke_objective`` evaluated before it shared the vector kernel."""
     amps = np.maximum(state.amplitudes.real, 0.0)
     n = state.N
+    root = sqrt_binomials(n)
     total = 0.0
     for m in range(n + 1):
         total += (
-            sqrt_binomial(n, m)
+            root[m]
             * amps[m]
             * math.cos(alpha) ** (n - m)
             * math.sin(alpha) ** m
@@ -189,6 +191,16 @@ class TestGmDickeNonneg:
                 binom * (m / n) ** m * ((n - m) / n) ** (n - m)
             )
             assert result.G == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [100, 600, 2000])
+    def test_large_w_state_closed_form(self, n):
+        # |W_N> has G^2 = ((N - 1) / N)^(N - 1); at N = 2000 this needs every
+        # sqrt(C(N, m)) to within rounding, which a log-gamma difference is not
+        amps = np.zeros(n + 1)
+        amps[1] = 1.0
+        g_sq = gme.gm_dicke_nonneg(gme.SymmetricDickeState(n, amps)).G_squared
+        expected = float(Fraction(n - 1, n) ** (n - 1))  # exact, then rounded once
+        assert abs(g_sq - expected) <= 5e-13 * expected
 
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_symmetric_oracle(self, seed):

@@ -8,7 +8,7 @@ from scipy.optimize import minimize
 import gme
 from gme._linalg import bloch_of_spinor, spinor_from_bloch
 from gme._rng import restart_stream
-from gme.states import BlochVector, GmResult, sqrt_binomial, sym3q_to_dicke
+from gme.states import BlochVector, GmResult, sqrt_binomials, sym3q_to_dicke
 
 from conftest import (
     apply_local_unitaries,
@@ -293,7 +293,7 @@ def _reference_overlap_grid(
     """|overlap| of |a>^(x)N with the state over an (alpha, phase) grid."""
     n = state.N
     m = np.arange(n + 1)
-    coeff = np.array([sqrt_binomial(n, k) for k in m])
+    coeff = sqrt_binomials(n)
     basis = (
         coeff[None, :]
         * np.cos(alphas)[:, None] ** (n - m)[None, :]
@@ -309,11 +309,12 @@ def _reference_overlap_scalar(
     state: gme.SymmetricDickeState, alpha: float, phase: float
 ) -> float:
     n = state.N
+    root = sqrt_binomials(n)
     total = 0.0j
     for m in range(n + 1):
         total += (
             state.amplitudes[m]
-            * sqrt_binomial(n, m)
+            * root[m]
             * math.cos(alpha) ** (n - m)
             * math.sin(alpha) ** m
             * complex(math.cos(m * phase), -math.sin(m * phase))

@@ -1,11 +1,13 @@
 import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 import gme
-from gme.states import sqrt_binomial
+from gme._linalg import ID2, SIGMA_X, SIGMA_Y, SIGMA_Z
+from gme.states import DICKE_QUBIT_CAP, sqrt_binomials
 
 from conftest import random_pure_state, random_rank2, rng_for, SZ
 
@@ -129,6 +131,25 @@ class TestGmResult:
             gme.GmResult(G=0.5, G_squared=0.25, E_G=0.75, method="magic")
 
 
+class TestSqrtBinomials:
+    @pytest.mark.parametrize("n", [*range(1, 41), 100, 600, 2000])
+    def test_every_entry_rounds_the_exact_root(self, n):
+        row = sqrt_binomials(n)
+        assert row.shape == (n + 1,)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            worst = max(
+                abs(Decimal(float(root)) / Decimal(math.comb(n, m)).sqrt() - 1)
+                for m, root in enumerate(row)
+            )
+        assert worst <= Decimal("2.2e-16")
+
+    def test_overflows_past_the_dicke_cap(self):
+        assert np.all(np.isfinite(sqrt_binomials(DICKE_QUBIT_CAP)))
+        with pytest.raises(OverflowError):
+            sqrt_binomials(2054)
+
+
 class TestDickeToDense:
     def test_single_qubit_identity(self):
         st = gme.SymmetricDickeState(1, [1.0, 0.0])
@@ -172,7 +193,7 @@ class TestDickeToDense:
         st = gme.SymmetricDickeState(n, amps / np.linalg.norm(amps))
         # the per-index popcount loop the doubled weights replaced
         weights = np.array([int(i).bit_count() for i in range(1 << n)])
-        scale = np.array([1.0 / sqrt_binomial(n, m) for m in range(n + 1)])
+        scale = 1.0 / sqrt_binomials(n)
         expected = gme.PureState(n, st.amplitudes[weights] * scale[weights]).amplitudes
         dense = gme.dicke_to_dense(st).amplitudes
         assert dense.dtype == expected.dtype
@@ -198,6 +219,71 @@ class TestSym3qToDense:
         dense = gme.sym3q_to_dense(st)
         assert abs(dense.amplitudes[0b000] - inv) <= 1e-12
         assert abs(dense.amplitudes[0b111] - 1j * inv) <= 1e-12
+
+
+# The twelve-Kronecker-product expansion that states.rank2_to_matrix replaced,
+# copied verbatim as the reference for its basis construction.
+def _rank2_operators(gamma1: float, gamma2: float) -> tuple[np.ndarray, ...]:
+    u = math.cos(gamma1) * math.cos(gamma2)
+    v = math.sin(gamma1) * math.sin(gamma2)
+    z1 = math.sin(gamma1) * math.cos(gamma2)
+    z2 = math.cos(gamma1) * math.sin(gamma2)
+    eye4 = np.kron(ID2, ID2)
+    proj = 0.5 * (
+        eye4
+        + u * np.kron(SIGMA_Z, ID2)
+        + v * np.kron(ID2, SIGMA_Z)
+        + z1 * np.kron(SIGMA_X, SIGMA_X)
+        + z2 * np.kron(SIGMA_Y, SIGMA_Y)
+    )
+    op1 = 0.5 * (
+        math.sin(gamma1) * np.kron(SIGMA_X, ID2)
+        + math.cos(gamma2) * np.kron(ID2, SIGMA_X)
+        + math.sin(gamma2) * np.kron(SIGMA_X, SIGMA_Z)
+        + math.cos(gamma1) * np.kron(SIGMA_Z, SIGMA_X)
+    )
+    op2 = 0.5 * (
+        math.sin(gamma2) * np.kron(SIGMA_Y, ID2)
+        + math.cos(gamma1) * np.kron(ID2, SIGMA_Y)
+        + math.sin(gamma1) * np.kron(SIGMA_Y, SIGMA_Z)
+        + math.cos(gamma2) * np.kron(SIGMA_Z, SIGMA_Y)
+    )
+    op3 = 0.5 * (
+        v * np.kron(SIGMA_Z, ID2)
+        + u * np.kron(ID2, SIGMA_Z)
+        - z2 * np.kron(SIGMA_X, SIGMA_X)
+        - z1 * np.kron(SIGMA_Y, SIGMA_Y)
+        + np.kron(SIGMA_Z, SIGMA_Z)
+    )
+    return proj, op1, op2, op3
+
+
+def rank2_to_matrix(state: gme.RankTwoCanonical) -> np.ndarray:
+    """Density matrix of the canonical rank-two state.
+
+    Assembled as half the subspace projector plus the Bloch components times
+    the subspace Pauli operators.  The result is Hermitian, trace one, and
+    positive semidefinite with at most two nonzero eigenvalues.
+    """
+    proj, op1, op2, op3 = _rank2_operators(state.gamma1, state.gamma2)
+    x1, x2, x3 = state.x
+    return 0.5 * (proj + x1 * op1 + x2 * op2 + x3 * op3)
+
+
+_RANK2_EDGE_ANGLES = (
+    (0.7, 0.0),
+    (math.pi / 2, 0.0),
+    (math.pi / 4, math.pi / 4),
+    (1.1, math.pi / 2 - 1.1),
+    (0.0, 0.0),
+)
+_RANK2_EDGE_X = (
+    (0.0, 0.0, 0.0),
+    (1.0, 0.0, 0.0),
+    (0.0, 1.0, 0.0),
+    (0.0, 0.0, -1.0),
+    (0.6, -0.48, 0.64),
+)
 
 
 class TestRank2ToMatrix:
@@ -252,6 +338,21 @@ class TestRank2ToMatrix:
             gme.RankTwoCanonical(st.gamma1, st.gamma2, [st.x[0], -st.x[1], st.x[2]])
         )
         assert np.max(np.abs(rho.conj() - flipped)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_pauli_expansion(self, seed):
+        rng = rng_for(500 + seed)
+        states = [random_rank2(rng, angle_margin=0.0, radius=(0.0, 1.0)) for _ in range(60)]
+        worst = max(
+            np.max(np.abs(gme.rank2_to_matrix(st) - rank2_to_matrix(st))) for st in states
+        )
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("gamma1, gamma2", _RANK2_EDGE_ANGLES)
+    @pytest.mark.parametrize("x", _RANK2_EDGE_X)
+    def test_matches_pauli_expansion_at_edges(self, gamma1, gamma2, x):
+        st = gme.RankTwoCanonical(gamma1, gamma2, x)
+        assert np.max(np.abs(gme.rank2_to_matrix(st) - rank2_to_matrix(st))) <= 1e-15
 
 
 class TestSerialization:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import gme
+from gme import wmax
 from gme._optim import golden_section_min as batched_golden_section_min
 from gme.rank2 import _ClosedFormContext, _closed_form_value, _stationarity_quartic
 from gme.wmax import GOLDEN_TOL
@@ -322,3 +323,23 @@ class TestUniqueness:
 
     def test_certificate(self):
         assert gme.verify_w_uniqueness() is True
+
+    def test_certificate_solves_each_state_once(self, monkeypatch):
+        solve, calls = wmax.g_numeric, []
+
+        def counted(state):
+            calls.append(state)
+            return solve(state)
+
+        monkeypatch.setattr(wmax, "g_numeric", counted)
+        assert wmax.verify_w_uniqueness() is True
+        assert len(calls) == 20
+
+    def test_certificate_rejects_a_rotation_dependence(self, monkeypatch):
+        solve = wmax.g_numeric
+
+        def tilted(state):
+            return solve(state) + (1e-7 if state.x[1] != 0.0 else 0.0)
+
+        monkeypatch.setattr(wmax, "g_numeric", tilted)
+        assert wmax.verify_w_uniqueness() is False
