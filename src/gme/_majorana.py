@@ -93,11 +93,6 @@ def stationary_angles(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return alpha, np.exp(log_f)
 
 
-def real_stationary_points(coeffs: np.ndarray) -> np.ndarray:
-    """Every t = tan(alpha) > 0 where f is stationary, for real c >= 0; none when f is flat."""
-    return np.tan(stationary_angles(coeffs)[0])
-
-
 def _roots(p: np.ndarray, *terms: np.ndarray) -> np.ndarray | None:
     """Roots of p; None when p is zero to rounding against its terms.
 

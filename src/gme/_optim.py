@@ -6,8 +6,6 @@ import math
 from typing import Callable
 
 import numpy as np
-# unused: bound only so perfbench traces optim.nelder_mead.*, per_layer names CI requires
-from scipy.optimize import minimize  # noqa: F401
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPHERE_GRID = (64, 128)  # polar x azimuth cells; polar midpoints, as a pole cell repeats
@@ -136,3 +134,16 @@ def max_on_sphere(m: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
             break
     best = int(np.argmax(value))
     return float(value[best]), (s1[best], s2[best])
+
+
+def __getattr__(name: str):
+    # exists only for perfbench, whose tracer finds its optim.nelder_mead binding
+    # through vars(module): scipy's minimize is stored in the globals on first
+    # access, so import gme loads no scipy. ROADMAP item 1's benchmark change
+    # retires that span and deletes this hook.
+    if name != "minimize":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy.optimize import minimize
+
+    globals()[name] = minimize
+    return minimize

@@ -262,12 +262,14 @@ def sqrt_binomials(n: int) -> np.ndarray:
     """sqrt(C(n, m)) for m = 0..n, each within 2.2e-16 relative of exact.
 
     C(n, m) = C(n, m - 1) (n - m + 1) / m in integers up to m = n/2, mirrored
-    beyond; a C(n, m) past a double's range takes its integer square root
-    first, and from n = 2054 that overflows too (OverflowError).
+    beyond. A C(n, m) of more than 1001 bits is shifted right by 2k bits to
+    about 1000 before its root and scaled back by 2^k; from n = 2054 the root
+    itself overflows (OverflowError).
     """
     half, c = [], 1
     for m in range(n // 2 + 1):
-        half.append(math.sqrt(c) if c.bit_length() < 1024 else float(math.isqrt(c)))
+        k = max(0, (c.bit_length() - 1000) // 2)
+        half.append(math.ldexp(math.sqrt(c >> 2 * k), k))
         c = c * (n - m) // (m + 1)
     return np.array(half + (half[::-1] if n % 2 else half[-2::-1]))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gme
-from gme._majorana import coefficients, real_stationary_points, stationary_spinors
+from gme._majorana import coefficients, stationary_angles, stationary_spinors
 
 from conftest import rng_for
 
@@ -90,11 +90,11 @@ class TestStationarySpinors:
 class TestRealStationaryPoints:
     def test_flat_objective_has_none(self):
         coeff = coefficients(np.array([1.0, 0.0, 1.0]) / math.sqrt(2.0))
-        assert real_stationary_points(coeff).size == 0
+        assert np.tan(stationary_angles(coeff)[0]).size == 0
 
     def test_single_term_closed_form(self):
         # sqrt(3) cos^2 sin peaks at tan(alpha) = 1/sqrt(2)
-        roots = real_stationary_points(coefficients(np.array([0.0, 1.0, 0.0, 0.0])))
+        roots = np.tan(stationary_angles(coefficients(np.array([0.0, 1.0, 0.0, 0.0])))[0])
         assert np.any(np.abs(roots - 1 / math.sqrt(2.0)) <= 1e-12)
 
     @pytest.mark.parametrize(
