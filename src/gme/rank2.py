@@ -67,15 +67,20 @@ def f_objective(state: RankTwoCanonical, s1) -> float:
     return trace_decomposition(state, s1).value
 
 
-def g_numeric(state: RankTwoCanonical) -> float:
-    """Best product overlap: a quarter of the overlap functional's maximum.
+def _functional_matrix(state: RankTwoCanonical) -> np.ndarray:
+    """4x4 matrix M of the overlap functional ``(1, s1)^T M (1, s2)``.
 
-    The functional is bilinear in the Bloch vectors; its matrix has row 0
-    ``_fields`` at the origin and row ``i`` the change at the unit vector ``e_i``.
+    The functional is bilinear in the Bloch vectors; row 0 is ``_fields`` at
+    the origin and row ``i`` the change at the unit vector ``e_i``.
     """
     rows = np.array([_fields(state, *e) for e in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))])
     rows[1:] -= rows[0]
-    return 0.25 * max_on_sphere(rows)[0]
+    return rows
+
+
+def g_numeric(state: RankTwoCanonical) -> float:
+    """Best product overlap: a quarter of the overlap functional's maximum."""
+    return 0.25 * float(max_on_sphere(_functional_matrix(state))[0])
 
 
 @dataclass(frozen=True)
@@ -218,18 +223,33 @@ def g_closed_form(x3: float, gamma1: float, gamma2: float) -> float:
     return float(_closed_form_value(x3, ctx))
 
 
+def _rational_value(x3, ctx: _ClosedFormContext) -> np.ndarray:
+    """The closed form's rational branch, elementwise over x3 and the subspaces of ``ctx``.
+
+    With ``s = amp - damp x3`` it is ``amp (1 - x3^2) s / (2 (s^2 - x3^2))``:
+    the closed form itself strictly inside a window that has not collapsed,
+    and meaningless (possibly not finite) anywhere else.
+    """
+    shifted = ctx.amp - ctx.damp * x3
+    return (1.0 - x3 * x3) * ctx.amp * shifted / (-2.0 * (x3 * x3 - shifted * shifted))
+
+
 def _closed_form_value(x3, ctx: _ClosedFormContext) -> np.ndarray:
     """Three-branch closed form, elementwise over x3 and the subspaces of ``ctx``.
 
-    At an exact window edge the linear value is returned once the rational
-    branch, where it exists, is checked to agree with it.
+    ``_rational_value`` is the default branch; the linear branches take over
+    outside the window (x3_3, x3_4) and on either side of zero where the
+    window has collapsed.  At an exact window edge the linear value is
+    returned once the rational branch, where it exists, is checked to agree
+    with it.
     """
     low = 0.25 * (1.0 - x3) * ctx.lin_low
     high = 0.25 * (1.0 + x3) * ctx.lin_high
     shifted = ctx.amp - ctx.damp * x3
-    u1 = x3 * x3 - shifted * shifted
-    collapsed = u1 >= -1e-15  # rational branch degenerates with the window
-    rational = (1.0 - x3 * x3) * ctx.amp * shifted / (-2.0 * np.where(collapsed, -1.0, u1))
+    # the rational branch degenerates with the window
+    collapsed = x3 * x3 - shifted * shifted >= -1e-15
+    with np.errstate(divide="ignore", invalid="ignore"):  # a collapsed cell's rational is unused
+        rational = _rational_value(x3, ctx)
     at_low = x3 == ctx.x3_3
     at_high = x3 == ctx.x3_4
     edge = (at_low | at_high) & ~collapsed

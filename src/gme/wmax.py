@@ -3,11 +3,12 @@
 Restricting to the x1 = x2 = 0 axis (where the overlap is smallest in each
 subspace by convexity and sign symmetry), the per-subspace minimum over x3 is
 located inside the window where the closed form is rational: a coarse
-golden-section search brackets it, run on arrays of grid cells at once, and a
-few Newton steps on the quartic numerator of the rational branch's slope
-resolve it to rounding.  Scanning the canonical angle triangle then certifies
-that the smallest value over all subspaces is 4/9, reached by the two-qubit
-marginal of the W state.
+golden-section search of the rational branch brackets it, run on arrays of
+grid cells at once, and a few Newton steps on the quartic numerator of that
+branch's slope resolve it to rounding.  Scanning the canonical angle triangle
+then certifies that the smallest value over all subspaces is 4/9, reached by
+the two-qubit marginal of the W state; the uniqueness check solves its
+W-subspace states in one stacked two-sphere ascent.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import golden_section_min
+from ._optim import golden_section_min, max_on_sphere
 from .rank2 import (
     _ClosedFormContext,
     _closed_form_value,
+    _functional_matrix,
+    _rational_value,
     _require_range,
     _stationarity_quartic,
-    g_numeric,
 )
 from .states import CapacityError, RankTwoCanonical, ValidationError
 
@@ -117,13 +119,15 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     even resolutions the grid contains pi/4 exactly) and gamma2 over
     ``resolution`` values in [0, min(gamma1, pi/2 - gamma1)].  The minimum
     over x3 is restricted to the window between the closed form's two linear
-    branches, where the overlap is smallest.  One golden-section search over
-    the cells of 16 gamma1 rows at a time brackets it to ``BRACKET_WIDTH``,
-    then ``NEWTON_STEPS`` Newton steps on the stationarity quartic, clipped
-    to the window, resolve it; a cell whose quartic has no positive slope
-    there (a flat window) keeps its bracket midpoint.  Each cell takes the
-    steps it would take alone, so the batching does not change the result.
-    Ties resolve to the lowest gamma1, then gamma2.
+    branches, where the overlap is smallest.  One golden-section search of the
+    rational branch over the cells of 16 gamma1 rows at a time brackets it to
+    ``BRACKET_WIDTH``, then ``NEWTON_STEPS`` Newton steps on the stationarity
+    quartic, clipped to the window, resolve it; a cell whose quartic has no
+    positive slope there (a flat window) keeps its bracket midpoint.  The
+    value and the snap of a tied flat window to x3 = 0 use the full closed
+    form.  Each cell takes the steps it would take alone, so the batching
+    does not change the result.  Ties resolve to the lowest gamma1, then
+    gamma2.
     """
     if not isinstance(resolution, (int, np.integer)):
         raise ValidationError("resolution must be an integer")
@@ -135,19 +139,22 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     gamma1_values = np.linspace(_HALF / resolution, _HALF, resolution)
     cells = np.empty((resolution * resolution, 4))
     cells[:, 0] = np.repeat(gamma1_values, resolution)
-    # one linspace per row: a stacked linspace rounds the degenerate row
-    # gamma1 = pi/2 differently and so changes every row
-    cells[:, 1] = np.concatenate(
-        [np.linspace(0.0, min(g1, _HALF - g1), resolution) for g1 in gamma1_values]
-    )
+    stop = np.minimum(gamma1_values, _HALF - gamma1_values)
+    nz = stop > 0.0
+    gamma2 = np.zeros((resolution, resolution))
+    # the row gamma1 = pi/2 has stop 0 and is left at zeros: with a zero step
+    # among its rows a stacked linspace takes another path, which rounds every
+    # row differently from that row's own linspace
+    gamma2[nz] = np.linspace(0.0, stop[nz], resolution, axis=1)
+    cells[:, 1] = gamma2.ravel()
     block = _BLOCK_ROWS * resolution
     for start in range(0, cells.shape[0], block):
         rows = cells[start : start + block]
         ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
         lo, hi = ctx.x3_3, ctx.x3_4
-        x, _ = golden_section_min(
-            lambda v: _closed_form_value(v, ctx), lo, hi, tol=BRACKET_WIDTH
-        )
+        # every value the search reads lies strictly inside the window, where
+        # the closed form is its rational branch
+        x = golden_section_min(lambda v: _rational_value(v, ctx), lo, hi, tol=BRACKET_WIDTH)
         for _ in range(NEWTON_STEPS):
             p, dp = _stationarity_quartic(x, ctx)
             ok = np.isfinite(p) & (dp > 0.0)
@@ -203,29 +210,23 @@ def verify_w_uniqueness() -> bool:
     Checks that (a) the analytic lower bound exceeds 4/9 for every sampled
     x1 > 0 and the numeric overlap respects it wherever the state exists, and
     (b) the overlap in the W subspace is rotation-invariant about x3, so the
-    x2 direction is covered by the x1 samples.
+    x2 direction is covered by the x1 samples.  The 20 overlaps (11 physical
+    x1 samples, 9 rotated states) are one stacked ``max_on_sphere`` call.
     """
-    sampled = {}
-    for x1 in UNIQUENESS_X1:
-        bound = uniqueness_bound(x1)
-        if x1 > 0.0 and not bound > W_MIN:
-            return False
-        if x1 <= _X1_PHYSICAL_MAX:
-            state = RankTwoCanonical(_QUARTER, _QUARTER, np.array([x1, 0.0, -1.0 / 3.0]))
-            sampled[x1] = g_numeric(state)
-            if sampled[x1] < bound - 1e-9:
-                return False
-
-    for radius in (0.1, 0.5, 0.9):
-        reference = sampled[radius]  # the x1 = radius sample is the unrotated state
-        for angle in (0.7, 2.1, 4.4):
-            rotated = RankTwoCanonical(
-                _QUARTER,
-                _QUARTER,
-                np.array(
-                    [radius * math.cos(angle), radius * math.sin(angle), -1.0 / 3.0]
-                ),
-            )
-            if abs(g_numeric(rotated) - reference) > 1e-8:
-                return False
-    return True
+    if not all(uniqueness_bound(x1) > W_MIN for x1 in UNIQUENESS_X1 if x1 > 0.0):
+        return False
+    sampled = [x1 for x1 in UNIQUENESS_X1 if x1 <= _X1_PHYSICAL_MAX]
+    # the x1 = radius sample is the unrotated reference of each rotation
+    rotations = [(radius, angle) for radius in (0.1, 0.5, 0.9) for angle in (0.7, 2.1, 4.4)]
+    points = [(x1, 0.0) for x1 in sampled]
+    points += [(r * math.cos(angle), r * math.sin(angle)) for r, angle in rotations]
+    matrices = [
+        _functional_matrix(RankTwoCanonical(_QUARTER, _QUARTER, np.array([x1, x2, -1.0 / 3.0])))
+        for x1, x2 in points
+    ]
+    values = 0.25 * max_on_sphere(np.array(matrices))[0]
+    reference = dict(zip(sampled, values))
+    if any(reference[x1] < uniqueness_bound(x1) - 1e-9 for x1 in sampled):
+        return False
+    rotated = values[len(sampled) :]
+    return all(abs(g - reference[r]) <= 1e-8 for (r, _), g in zip(rotations, rotated))

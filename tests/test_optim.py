@@ -259,15 +259,75 @@ AXIS = sorted(name for name, st in RANK2.items() if st.x[1] == 0.0 and st.x[0] >
 
 @pytest.mark.parametrize("name", AXIS)
 def test_golden_section_on_floats_matches_scalar_reference(name, monkeypatch):
-    """On plain floats the batched search returns the scalar search's (x, f(x)) bitwise."""
+    """On plain floats the batched search returns the scalar search's x bitwise,
+    so f there is the scalar search's f(x)."""
     pairs, scalar = [], golden_section_min
 
     def both(f, lo, hi, tol):
         reference = scalar(f, lo, hi, tol)
-        pairs.append((_optim.golden_section_min(f, lo, hi, tol), reference))
+        x = _optim.golden_section_min(f, lo, hi, tol)
+        pairs.append(((x, f(float(x))), reference))
         return reference
 
     monkeypatch.setitem(globals(), "golden_section_min", both)
     _g_numeric_axis(RANK2[name])
     [((x, value), (ref_x, ref_value))] = pairs
     assert float(x) == ref_x and float(value) == ref_value
+
+
+def random_matrices(count: int, seed: int) -> np.ndarray:
+    """Seeded 4x4 matrices: half Gaussian, half Pauli matrices of random densities."""
+    rng = rng_for(seed)
+    gaussian = rng.normal(size=(count - count // 2, 4, 4))
+    densities = [pauli_matrix(random_density(rng, 1 + k % 4)) for k in range(count // 2)]
+    return np.concatenate([gaussian, np.array(densities)])
+
+
+STACK = random_matrices(120, 7400)
+
+
+@pytest.fixture(scope="module")
+def stacked():
+    return max_on_sphere(STACK)
+
+
+def test_stack_matches_each_matrix_alone(stacked):
+    values, (s1, s2) = stacked
+    assert values.shape == (len(STACK),) and s1.shape == s2.shape == (len(STACK), 3)
+    for k, m in enumerate(STACK):
+        value, (alone1, alone2) = max_on_sphere(m)
+        assert values[k] == value
+        assert np.array_equal(s1[k], alone1) and np.array_equal(s2[k], alone2)
+
+
+def test_permuted_stack_permutes_results(stacked):
+    order = rng_for(7401).permutation(len(STACK))
+    values, (s1, s2) = stacked
+    permuted, (p1, p2) = max_on_sphere(STACK[order])
+    assert np.array_equal(permuted, values[order])
+    assert np.array_equal(p1, s1[order]) and np.array_equal(p2, s2[order])
+
+
+def test_stack_keeps_leading_shape():
+    values, (s1, s2) = max_on_sphere(STACK[:12].reshape(3, 4, 4, 4))
+    assert values.shape == (3, 4) and s1.shape == s2.shape == (3, 4, 3)
+    assert np.array_equal(values.ravel(), max_on_sphere(STACK[:12])[0])
+
+
+def test_single_matrix_gives_0d_value_and_vectors():
+    value, (s1, s2) = max_on_sphere(STACK[0])
+    assert value.shape == () and s1.shape == s2.shape == (3,)
+
+
+@pytest.mark.parametrize("k", range(0, len(STACK), 10))
+def test_stack_matches_reference(k, stacked):
+    """A stacked value against the grid + Nelder-Mead search of its functional."""
+    m = STACK[k]
+
+    def functional(sx, sy, sz):
+        s1 = np.stack(np.broadcast_arrays(sx, sy, sz), axis=-1)
+        field = m[0, 1:] + s1 @ m[1:, 1:]
+        return m[0, 0] + s1 @ m[1:, 0] + np.linalg.norm(field, axis=-1)
+
+    reference, _ = reference_max_on_sphere(functional)
+    assert_matches(float(stacked[0][k]), reference)

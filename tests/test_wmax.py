@@ -7,6 +7,7 @@ import pytest
 import gme
 from gme import wmax
 from gme._optim import golden_section_min as batched_golden_section_min
+from gme._optim import max_on_sphere
 from gme.rank2 import _ClosedFormContext, _closed_form_value, _stationarity_quartic
 from gme.wmax import GOLDEN_TOL
 
@@ -199,7 +200,43 @@ def _scalar_scan(resolution):
     return cells, best[0], best[1:], float(above.min() - best[0])
 
 
+def _closed_form_search_scan(resolution):
+    """Reference cells: one linspace per gamma1 row and a golden search of the
+    full three-branch closed form, then the scan's Newton steps and zero snap."""
+    gamma1 = np.linspace(HALF / resolution, HALF, resolution)
+    gamma2 = [np.linspace(0.0, min(g1, HALF - g1), resolution) for g1 in gamma1]
+    cells = np.empty((resolution * resolution, 4))
+    cells[:, 0] = np.repeat(gamma1, resolution)
+    cells[:, 1] = np.concatenate(gamma2)
+    block = wmax._BLOCK_ROWS * resolution
+    for start in range(0, cells.shape[0], block):
+        rows = cells[start : start + block]
+        ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
+        lo, hi = ctx.x3_3, ctx.x3_4
+        x = batched_golden_section_min(
+            lambda v: _closed_form_value(v, ctx), lo, hi, tol=wmax.BRACKET_WIDTH
+        )
+        for _ in range(wmax.NEWTON_STEPS):
+            p, dp = _stationarity_quartic(x, ctx)
+            ok = np.isfinite(p) & (dp > 0.0)
+            x = np.where(ok, np.clip(x - p / np.where(ok, dp, 1.0), lo, hi), x)
+        value = _closed_form_value(x, ctx)
+        straddles = (hi - lo > GOLDEN_TOL) & (lo < 0.0) & (0.0 < hi)
+        at_zero = _closed_form_value(np.where(straddles, 0.0, x), ctx)
+        snap = straddles & (at_zero <= value + 1e-12)
+        rows[:, 2] = np.where(snap, 0.0, x)
+        rows[:, 3] = np.where(snap, at_zero, value)
+    return cells
+
+
 class TestScanGlobalMin:
+    @pytest.mark.parametrize("resolution", [32, 33, 256])
+    def test_matches_closed_form_search(self, resolution):
+        """Searching the rational branch alone and the stacked gamma2 linspace
+        change no bit of the cells."""
+        cells = gme.scan_global_min(resolution).cells
+        assert np.array_equal(cells, _closed_form_search_scan(resolution))
+
     def test_rejects_small_resolution(self):
         with pytest.raises(gme.ValidationError):
             gme.scan_global_min(16)
@@ -271,9 +308,10 @@ class TestScanGlobalMin:
             rows = report.cells[start : start + block]
             ctx = _ClosedFormContext.from_angles(rows[:, 0], rows[:, 1])
             lo, hi = ctx.x3_3, ctx.x3_4
-            x, value = batched_golden_section_min(
+            x = batched_golden_section_min(
                 lambda v: _closed_form_value(v, ctx), lo, hi, tol=GOLDEN_TOL
             )
+            value = _closed_form_value(x, ctx)
             straddles = (hi - lo > GOLDEN_TOL) & (lo < 0.0) & (0.0 < hi)
             at_zero = _closed_form_value(np.where(straddles, 0.0, x), ctx)
             reference = np.where(straddles & (at_zero <= value + 1e-12), at_zero, value)
@@ -324,22 +362,37 @@ class TestUniqueness:
     def test_certificate(self):
         assert gme.verify_w_uniqueness() is True
 
+    @staticmethod
+    def recorded(monkeypatch, tilt=0.0):
+        """Record the certificate's states and stacked solves; add ``tilt`` to
+        the overlap functional's maximum of every state with x2 != 0."""
+        states, stacks, build, solve = [], [], wmax._functional_matrix, wmax.max_on_sphere
+
+        def matrix(state):
+            states.append(state)
+            return build(state)
+
+        def stacked(m):
+            stacks.append(m)
+            values, pair = solve(m)
+            rotated = np.array([state.x[1] != 0.0 for state in states])
+            return values + 4.0 * tilt * rotated, pair
+
+        monkeypatch.setattr(wmax, "_functional_matrix", matrix)
+        monkeypatch.setattr(wmax, "max_on_sphere", stacked)
+        return states, stacks
+
     def test_certificate_solves_each_state_once(self, monkeypatch):
-        solve, calls = wmax.g_numeric, []
-
-        def counted(state):
-            calls.append(state)
-            return solve(state)
-
-        monkeypatch.setattr(wmax, "g_numeric", counted)
+        states, stacks = self.recorded(monkeypatch)
         assert wmax.verify_w_uniqueness() is True
-        assert len(calls) == 20
+        assert len(states) == 20
+        assert len({tuple(state.x) for state in states}) == 20
+        [stack] = stacks
+        assert stack.shape == (20, 4, 4)
+        values = 0.25 * max_on_sphere(stack)[0]
+        assert values.tolist() == [gme.g_numeric(state) for state in states]
 
     def test_certificate_rejects_a_rotation_dependence(self, monkeypatch):
-        solve = wmax.g_numeric
-
-        def tilted(state):
-            return solve(state) + (1e-7 if state.x[1] != 0.0 else 0.0)
-
-        monkeypatch.setattr(wmax, "g_numeric", tilted)
+        states, _ = self.recorded(monkeypatch, tilt=1e-7)
         assert wmax.verify_w_uniqueness() is False
+        assert sum(state.x[1] != 0.0 for state in states) == 9
