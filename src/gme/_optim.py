@@ -11,7 +11,7 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 SPHERE_GRID = (64, 128)  # polar x azimuth cells; polar midpoints, as a pole cell repeats
 SPHERE_STARTS = 8  # best cells that ascend
 SPHERE_ROUNDS = 50  # cap on ascent rounds
-SPHERE_GAIN_TOL = 1e-15  # a matrix stops once none of its starts gains this much in a round
+SPHERE_GAIN_TOL = 1e-15  # the ascent stops once no start gains this much in a round
 SPHERE_UPDATES = 3  # alternating updates per round, from each start and its Newton step
 
 
@@ -94,86 +94,57 @@ def _unit(field: np.ndarray, previous: np.ndarray) -> np.ndarray:
 
 
 def _newton_step(s1: np.ndarray, a, b, t) -> np.ndarray:
-    """Newton step for ``a.s1 + |b + T^T s1|`` on the unit sphere, per vector.
+    """Newton step per row for ``a.s1 + |b + T^T s1|`` on the unit sphere.
 
-    ``s1`` is (k, r, 3): r vectors for each of k matrices, whose ``a``, ``b``
-    (k, 3) and ``t`` (k, 3, 3) have one row per matrix.  Solves
-    ``[[H - lam I, s1], [s1^T, 0]]``, ``lam = s1.grad``; a zero field's terms
-    drop.
+    Solves ``[[H - lam I, s1], [s1^T, 0]]``, ``lam = s1.grad``; a zero field's terms drop.
     """
-    w = b[:, None] + s1 @ t
-    norm = np.linalg.norm(w, axis=-1)[..., None, None]
+    w = b + s1 @ t
+    norm = np.linalg.norm(w, axis=-1)[:, None, None]
     norm = np.where(norm > 0.0, norm, np.inf)
-    q = (w @ t.transpose(0, 2, 1))[..., None] / norm
-    grad = a[:, None, :, None] + q
+    q = (w @ t.T)[..., None] / norm
+    grad = a[:, None] + q
     lam = np.sum(s1[..., None] * grad, axis=-2, keepdims=True)
-    system = np.zeros(s1.shape[:-1] + (4, 4))
-    hessian = (t @ t.transpose(0, 2, 1))[:, None] - q * q.swapaxes(-1, -2)
-    system[..., :3, :3] = hessian / norm - lam * np.eye(3)
-    system[..., :3, 3] = system[..., 3, :3] = s1
-    step = np.linalg.pinv(system)[..., :3, :3] @ (lam * s1[..., None] - grad)
+    system = np.zeros((len(s1), 4, 4))
+    hessian = t @ t.T - q * q.swapaxes(-1, -2)
+    system[:, :3, :3] = hessian / norm - lam * np.eye(3)
+    system[:, :3, 3] = system[:, 3, :3] = s1
+    step = np.linalg.pinv(system)[:, :3, :3] @ (lam * s1[..., None] - grad)
     return _unit(s1 + step[..., 0], s1)
 
 
-def max_on_sphere(m: np.ndarray) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+def max_on_sphere(m: np.ndarray) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
     """Maximize ``(1, s1)^T M (1, s2)`` over unit vectors; returns (value, (s1, s2)).
 
-    ``m`` is a real array of shape (..., 4, 4), a stack of matrices solved
-    independently: the value has the leading shape and each vector that shape
-    plus (3,), so one 4x4 matrix gives a 0-d value and two (3,) vectors.
-    With ``c0, b, a, T = M[0,0], M[0,1:], M[1:,0], M[1:,1:]`` the best ``s2``
-    lies along ``b + T^T s1``, so ``c0 + a.s1 + |b + T^T s1|`` is scanned on a
-    grid, one matrix at a time.  The best cells of every matrix then ascend
-    together by alternating updates ``s2 <- unit(b + T^T s1)``, ``s1 <- unit(a
-    + T s2)`` (the two-party higher-order power method), from ``s1`` and from
+    ``m`` is a real 4x4 array.  With ``c0, b, a, T = M[0,0], M[0,1:], M[1:,0],
+    M[1:,1:]`` the best ``s2`` lies along ``b + T^T s1``, so ``c0 + a.s1 + |b
+    + T^T s1|`` is scanned on a grid built once at import.  The best cells
+    ascend by alternating updates ``s2 <- unit(b + T^T s1)``, ``s1 <- unit(a +
+    T s2)`` (the two-party higher-order power method), from ``s1`` and from
     two Newton steps on it, keeping the higher end: near a circle of maxima
     the updates alone creep, and one Newton step leaves a curved ridge.  No
-    update lowers the value; a vanishing field keeps the previous vector.  A
-    matrix stops once none of its starts gains in a round, so its result does
-    not depend on the rest of the stack.
+    update lowers the value; a vanishing field keeps the previous vector.
+    The ascent stops once no start gains in a round.
     """
-    m = np.asarray(m, dtype=float)
-    shape = m.shape[:-2]
-    m = m.reshape(-1, 4, 4)
-    c0, b, a, t = m[:, 0, 0], m[:, 0, 1:], m[:, 1:, 0], m[:, 1:, 1:]
-    count = len(m)
-    s1 = np.empty((count, SPHERE_STARTS, 3))
-    value = np.empty((count, SPHERE_STARTS))
-    for k in range(count):  # one grid at a time: a stacked scan's temporaries cost memory
-        x, y, z = (b[k] + _GRID @ t[k]).T  # |field| by axis: numpy reduces an axis of 3 slowly
-        scan = c0[k] + _GRID @ a[k] + np.sqrt(x * x + y * y + z * z)
-        starts = np.argsort(scan)[::-1][:SPHERE_STARTS]
-        s1[k], value[k] = _GRID[starts], scan[starts]
-    # s2's start is kept only where its field vanishes
-    s2 = np.tile((0.0, 0.0, 1.0), (count, 2 * SPHERE_STARTS, 1))
-    live = np.arange(count)
+    c0, b, a, t = m[0, 0], m[0, 1:], m[1:, 0], m[1:, 1:]
+    x, y, z = (b + _GRID @ t).T  # |field| by axis: numpy reduces an axis of 3 slowly
+    scan = c0 + _GRID @ a + np.sqrt(x * x + y * y + z * z)
+    starts = np.argsort(scan)[::-1][:SPHERE_STARTS]
+    s1, value = _GRID[starts], scan[starts]
+    s2 = np.tile((0.0, 0.0, 1.0), (2 * SPHERE_STARTS, 1))  # kept only where its field vanishes
     for _ in range(SPHERE_ROUNDS):
-        a_, b_, t_ = a[live], b[live], t[live]
-        x1 = s1[live]
-        x1 = np.concatenate([x1, _newton_step(_newton_step(x1, a_, b_, t_), a_, b_, t_)], axis=1)
-        x2 = s2[live]
+        s1 = np.concatenate([s1, _newton_step(_newton_step(s1, a, b, t), a, b, t)])
         for _ in range(SPHERE_UPDATES):
-            x2 = _unit(b_[:, None] + x1 @ t_, x2)
-            x1 = _unit(a_[:, None] + x2 @ t_.transpose(0, 2, 1), x1)
-        ends = (
-            c0[live, None]
-            + (x1 @ a_[..., None])[..., 0]
-            + (x2 @ b_[..., None])[..., 0]
-            + np.sum((x1 @ t_) * x2, axis=-1)
-        )
-        later = ends[:, SPHERE_STARTS:] > ends[:, :SPHERE_STARTS]
-        x1 = np.where(later[..., None], x1[:, SPHERE_STARTS:], x1[:, :SPHERE_STARTS])
-        x2 = np.where(later[..., None], x2[:, SPHERE_STARTS:], x2[:, :SPHERE_STARTS])
-        ends = np.where(later, ends[:, SPHERE_STARTS:], ends[:, :SPHERE_STARTS])
-        gain = ends - value[live]
-        s1[live], s2[live], value[live] = x1, np.concatenate([x2, x2], axis=1), ends
-        live = live[~np.all(gain < SPHERE_GAIN_TOL, axis=1)]
-        if not live.size:
+            s2 = _unit(b + s1 @ t, s2)
+            s1 = _unit(a + s2 @ t.T, s1)
+        ends = c0 + s1 @ a + s2 @ b + np.sum((s1 @ t) * s2, axis=-1)
+        first = np.arange(SPHERE_STARTS)
+        keep = np.where(ends[SPHERE_STARTS:] > ends[:SPHERE_STARTS], first + SPHERE_STARTS, first)
+        s1, s2 = s1[keep], np.concatenate([s2[keep]] * 2)
+        gain, value = ends[keep] - value, ends[keep]
+        if np.all(gain < SPHERE_GAIN_TOL):
             break
-    rows = np.arange(count)
-    best = np.argmax(value, axis=1)
-    pair = (s1[rows, best].reshape(shape + (3,)), s2[rows, best].reshape(shape + (3,)))
-    return value[rows, best].reshape(shape), pair
+    best = int(np.argmax(value))
+    return float(value[best]), (s1[best], s2[best])
 
 
 def __getattr__(name: str):

@@ -158,11 +158,17 @@ def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
+def _tagged(solver: Callable[..., float], method: str) -> Callable[..., GmResult]:
+    """``solver``, which returns G^2 alone, as a function returning a GmResult."""
+    return lambda *args: GmResult.from_overlap_squared(solver(*args), method=method)
+
+
 def _pure_routes(state: PureState, cfg: OracleConfig) -> dict[str, Route]:
     routes: dict[str, Route] = {"pure_oracle": lambda: gm_pure_oracle(state, cfg)}
     if state.n_qubits == 3:
+        pair_reduction = _tagged(g_from_pure_3qubit, "oracle")
         for party in range(3):
-            routes[f"pair_reduction_{party}"] = partial(g_from_pure_3qubit, state, party, cfg)
+            routes[f"pair_reduction_{party}"] = partial(pair_reduction, state, party, cfg)
     return routes
 
 
@@ -178,26 +184,28 @@ def _dicke_routes(state: SymmetricDickeState, cfg: OracleConfig) -> dict[str, Ro
 
 def _sym3q_routes(state: SymThreeQubitCanonical, cfg: OracleConfig) -> dict[str, Route]:
     dicke = sym3q_to_dicke(state)
+    pair_reduction = _tagged(g_from_pure_3qubit, "oracle")
     return {
         "sym3q": lambda: gm_sym3q(state, cfg),
         **_dicke_routes(dicke, cfg),
-        "pair_reduction": lambda: g_from_pure_3qubit(dicke_to_dense(dicke), 2, cfg),
+        "pair_reduction": lambda: pair_reduction(dicke_to_dense(dicke), 2, cfg),
     }
 
 
 def _rank2_routes(state: RankTwoCanonical, cfg: OracleConfig) -> dict[str, Route]:
     routes: dict[str, Route] = {}
     if state.x[0] == 0.0 and state.x[1] == 0.0:
-        x3 = float(state.x[2])
-        routes["rank2_closed"] = partial(g_closed_form, x3, state.gamma1, state.gamma2)
-    routes["rank2_numeric"] = lambda: g_numeric(state)
-    routes["mixed_oracle"] = lambda: g_mixed_oracle(rank2_to_matrix(state), cfg)
+        closed = _tagged(g_closed_form, "rank2_closed")
+        routes["rank2_closed"] = partial(closed, float(state.x[2]), state.gamma1, state.gamma2)
+    routes["rank2_numeric"] = partial(_tagged(g_numeric, "rank2_numeric"), state)
+    mixed_oracle = _tagged(g_mixed_oracle, "oracle")
+    routes["mixed_oracle"] = lambda: mixed_oracle(rank2_to_matrix(state), cfg)
     return routes
 
 
 # kind -> (its oracle's route name, a function giving every solver route that
-# applies: lazy calls in crosscheck order returning a GmResult or G^2 alone)
-Route = Callable[[], GmResult | float]
+# applies: lazy calls in crosscheck order, each returning a GmResult)
+Route = Callable[[], GmResult]
 _ROUTES: dict[str, tuple[str, Callable[[Any, OracleConfig], dict[str, Route]]]] = {
     "pure": ("pure_oracle", _pure_routes),
     "dicke": ("symmetric_oracle", _dicke_routes),
@@ -251,8 +259,7 @@ def _cmd_rank2(args: argparse.Namespace) -> int:
     route = _rank2_routes(state, OracleConfig()).get(method)
     if route is None:
         raise ValidationError("--closed-form requires x1 = x2 = 0")
-    result = GmResult.from_overlap_squared(route(), method=method)
-    return _finish(state, result, started, args.json)
+    return _finish(state, route(), started, args.json)
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -261,8 +268,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     cfg = _oracle_config(args)
     oracle, routes = _ROUTES[state_kind(state)]
     result = routes(state, cfg)[oracle]()
-    if not isinstance(result, GmResult):  # the mixed oracle returns G^2 alone
-        result = GmResult.from_overlap_squared(result, method="oracle")
     diagnostics = {"restarts": cfg.restarts, "max_iters": cfg.max_iters, "seed": cfg.seed}
     return _finish(state, result, started, args.json, diagnostics)
 
@@ -272,10 +277,7 @@ def _cmd_crosscheck(args: argparse.Namespace) -> int:
     state = _load(args)
     cfg = _oracle_config(args)
     routes = _ROUTES[state_kind(state)][1](state, cfg)
-    values = {}
-    for name, route in routes.items():
-        value = route()
-        values[name] = value.G_squared if isinstance(value, GmResult) else value
+    values = {name: route().G_squared for name, route in routes.items()}
     names = sorted(values)
     deltas = {
         f"{a} vs {b}": abs(values[a] - values[b])

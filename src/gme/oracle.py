@@ -307,4 +307,4 @@ def g_mixed_oracle(rho: np.ndarray, cfg: OracleConfig | None = None) -> float:
 
     basis = np.array([ID2, *PAULIS])
     m = np.einsum("ikjl,mji,nlk->mn", rho.reshape(2, 2, 2, 2), basis, basis).real
-    return 0.25 * float(max_on_sphere(m)[0])
+    return 0.25 * max_on_sphere(m)[0]

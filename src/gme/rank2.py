@@ -80,7 +80,7 @@ def _functional_matrix(state: RankTwoCanonical) -> np.ndarray:
 
 def g_numeric(state: RankTwoCanonical) -> float:
     """Best product overlap: a quarter of the overlap functional's maximum."""
-    return 0.25 * float(max_on_sphere(_functional_matrix(state))[0])
+    return 0.25 * max_on_sphere(_functional_matrix(state))[0]
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,9 @@ golden-section search of the rational branch brackets it, run on arrays of
 grid cells at once, and a few Newton steps on the quartic numerator of that
 branch's slope resolve it to rounding.  Scanning the canonical angle triangle
 then certifies that the smallest value over all subspaces is 4/9, reached by
-the two-qubit marginal of the W state; the uniqueness check solves its
-W-subspace states in one stacked two-sphere ascent.
+the two-qubit marginal of the W state.  The uniqueness check solves nothing:
+it compares a published lower bound with the overlap of W's own closest
+product, and checks the W subspace's rotation symmetry on density matrices.
 """
 
 from __future__ import annotations
@@ -18,16 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import golden_section_min, max_on_sphere
+from ._optim import golden_section_min
 from .rank2 import (
     _ClosedFormContext,
     _closed_form_value,
-    _functional_matrix,
     _rational_value,
     _require_range,
     _stationarity_quartic,
+    f_objective,
 )
-from .states import CapacityError, RankTwoCanonical, ValidationError
+from .states import CapacityError, RankTwoCanonical, ValidationError, rank2_to_matrix
 
 W_MIN = 4.0 / 9.0
 GOLDEN_TOL = 1e-10  # a window at most this wide is a point: no zero snap
@@ -129,7 +130,7 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
     does not change the result.  Ties resolve to the lowest gamma1, then
     gamma2.
     """
-    if not isinstance(resolution, (int, np.integer)):
+    if isinstance(resolution, bool) or not isinstance(resolution, (int, np.integer)):
         raise ValidationError("resolution must be an integer")
     if resolution < 32:
         raise ValidationError("resolution must be at least 32")
@@ -191,42 +192,48 @@ def scan_global_min(resolution: int) -> GlobalMinReport:
 # also sampled there when the Bloch ball admits the point (x1 <= 2*sqrt(2)/3)
 UNIQUENESS_X1 = (0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 _X1_PHYSICAL_MAX = 2.0 * math.sqrt(2.0) / 3.0
+_W_PRODUCT = (2.0 * math.sqrt(2.0) / 3.0, 0.0, 1.0 / 3.0)  # W's closest product, per party
+_ROTATIONS = tuple((r, angle) for r in (0.1, 0.5, 0.9) for angle in (0.7, 2.1, 4.4))  # about x3
+_ROUNDING = 1e-15  # the two sides of each identity agree to a few ulps
 
 
 def uniqueness_bound(x1: float) -> float:
     """Pointwise lower bound on the overlap at (x1, 0, -1/3) in the W subspace.
 
     Quarter of the overlap functional evaluated at the W state's own closest
-    product direction; strictly above 4/9 for every x1 > 0.
+    product direction; strictly above 4/9 for every x1 in (0, 1].
     """
+    x1 = _require_range(x1, 0.0, 1.0, "x1")
     return 0.25 * (2.0 / 9.0) * (
         5.0 + 3.0 * x1 + math.sqrt(9.0 + 3.0 * x1 * (10.0 + 9.0 * x1))
     )
 
 
-def verify_w_uniqueness() -> bool:
-    """Certify that only the W point attains the global minimum 4/9.
+def _w_subspace(x1: float, x2: float) -> RankTwoCanonical:
+    return RankTwoCanonical(_QUARTER, _QUARTER, np.array([x1, x2, -1.0 / 3.0]))
 
-    Checks that (a) the analytic lower bound exceeds 4/9 for every sampled
-    x1 > 0 and the numeric overlap respects it wherever the state exists, and
-    (b) the overlap in the W subspace is rotation-invariant about x3, so the
-    x2 direction is covered by the x1 samples.  The 20 overlaps (11 physical
-    x1 samples, 9 rotated states) are one stacked ``max_on_sphere`` call.
+
+def verify_w_uniqueness() -> bool:
+    """Certify that only the W point attains the global minimum 4/9, solving nothing.
+
+    (a) The bound exceeds 4/9 at every sampled x1 > 0.  (a') Where the state
+    exists, the W state's closest product ``_W_PRODUCT`` attains the bound (a
+    quarter of ``f_objective`` there), so the overlap is at least the bound.
+    (b) On gamma1 = gamma2 = pi/4, U x U with U = diag(1, e^(i phi)) fixes
+    |e0> = |00> and multiplies |e1> by e^(i phi), which rotates x about x3 by
+    phi; the overlap is a local-unitary invariant, so the x1 samples cover x2.
     """
     if not all(uniqueness_bound(x1) > W_MIN for x1 in UNIQUENESS_X1 if x1 > 0.0):
         return False
-    sampled = [x1 for x1 in UNIQUENESS_X1 if x1 <= _X1_PHYSICAL_MAX]
-    # the x1 = radius sample is the unrotated reference of each rotation
-    rotations = [(radius, angle) for radius in (0.1, 0.5, 0.9) for angle in (0.7, 2.1, 4.4)]
-    points = [(x1, 0.0) for x1 in sampled]
-    points += [(r * math.cos(angle), r * math.sin(angle)) for r, angle in rotations]
-    matrices = [
-        _functional_matrix(RankTwoCanonical(_QUARTER, _QUARTER, np.array([x1, x2, -1.0 / 3.0])))
-        for x1, x2 in points
-    ]
-    values = 0.25 * max_on_sphere(np.array(matrices))[0]
-    reference = dict(zip(sampled, values))
-    if any(reference[x1] < uniqueness_bound(x1) - 1e-9 for x1 in sampled):
-        return False
-    rotated = values[len(sampled) :]
-    return all(abs(g - reference[r]) <= 1e-8 for (r, _), g in zip(rotations, rotated))
+    for x1 in (x1 for x1 in UNIQUENESS_X1 if x1 <= _X1_PHYSICAL_MAX):
+        attained = 0.25 * f_objective(_w_subspace(x1, 0.0), _W_PRODUCT)
+        if not uniqueness_bound(x1) <= attained + _ROUNDING:
+            return False
+    for radius, angle in _ROTATIONS:
+        u = np.diag([1.0, np.exp(1j * angle)])
+        local = np.kron(u, u)
+        conjugated = local @ rank2_to_matrix(_w_subspace(radius, 0.0)) @ local.conj().T
+        rotated = rank2_to_matrix(_w_subspace(radius * math.cos(angle), radius * math.sin(angle)))
+        if not np.max(np.abs(conjugated - rotated)) <= _ROUNDING:
+            return False
+    return True

@@ -503,6 +503,24 @@ class TestRoutes:
         assert list(routes) == names
         assert oracle in routes
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            gme.PureState(3, [1, 0, 0, 0, 0, 0, 0, 0]),
+            gme.SymThreeQubitCanonical(0.0, W_T, 0.0, 0.0),
+            gme.RankTwoCanonical(0.7, 0.3, [0, 0, -0.4]),
+        ],
+        ids=["pure_n3", "sym3q_nonneg", "rank2_axis"],
+    )
+    def test_every_route_returns_a_gm_result(self, state):
+        routes = cli._ROUTES[gme.state_to_dict(state)["kind"]][1](state, self.CFG)
+        results = {name: route() for name, route in routes.items()}
+        analytic = {"dicke", "sym3q", "rank2_closed", "rank2_numeric"}
+        assert all(isinstance(result, gme.GmResult) for result in results.values())
+        assert {name: result.method for name, result in results.items()} == {
+            name: name if name in analytic else "oracle" for name in routes
+        }
+
     def test_oracle_route_per_kind(self):
         oracles = {kind: oracle for kind, (oracle, _) in cli._ROUTES.items()}
         assert oracles == {

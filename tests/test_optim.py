@@ -286,42 +286,10 @@ def random_matrices(count: int, seed: int) -> np.ndarray:
 STACK = random_matrices(120, 7400)
 
 
-@pytest.fixture(scope="module")
-def stacked():
-    return max_on_sphere(STACK)
-
-
-def test_stack_matches_each_matrix_alone(stacked):
-    values, (s1, s2) = stacked
-    assert values.shape == (len(STACK),) and s1.shape == s2.shape == (len(STACK), 3)
-    for k, m in enumerate(STACK):
-        value, (alone1, alone2) = max_on_sphere(m)
-        assert values[k] == value
-        assert np.array_equal(s1[k], alone1) and np.array_equal(s2[k], alone2)
-
-
-def test_permuted_stack_permutes_results(stacked):
-    order = rng_for(7401).permutation(len(STACK))
-    values, (s1, s2) = stacked
-    permuted, (p1, p2) = max_on_sphere(STACK[order])
-    assert np.array_equal(permuted, values[order])
-    assert np.array_equal(p1, s1[order]) and np.array_equal(p2, s2[order])
-
-
-def test_stack_keeps_leading_shape():
-    values, (s1, s2) = max_on_sphere(STACK[:12].reshape(3, 4, 4, 4))
-    assert values.shape == (3, 4) and s1.shape == s2.shape == (3, 4, 3)
-    assert np.array_equal(values.ravel(), max_on_sphere(STACK[:12])[0])
-
-
-def test_single_matrix_gives_0d_value_and_vectors():
-    value, (s1, s2) = max_on_sphere(STACK[0])
-    assert value.shape == () and s1.shape == s2.shape == (3,)
-
-
 @pytest.mark.parametrize("k", range(0, len(STACK), 10))
-def test_stack_matches_reference(k, stacked):
-    """A stacked value against the grid + Nelder-Mead search of its functional."""
+def test_stack_matches_reference(k):
+    """The value for one matrix of ``STACK`` against the grid + Nelder-Mead
+    search of its functional."""
     m = STACK[k]
 
     def functional(sx, sy, sz):
@@ -330,4 +298,4 @@ def test_stack_matches_reference(k, stacked):
         return m[0, 0] + s1 @ m[1:, 0] + np.linalg.norm(field, axis=-1)
 
     reference, _ = reference_max_on_sphere(functional)
-    assert_matches(float(stacked[0][k]), reference)
+    assert_matches(max_on_sphere(m)[0], reference)

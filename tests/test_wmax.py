@@ -7,8 +7,7 @@ import pytest
 import gme
 from gme import wmax
 from gme._optim import golden_section_min as batched_golden_section_min
-from gme._optim import max_on_sphere
-from gme.rank2 import _ClosedFormContext, _closed_form_value, _stationarity_quartic
+from gme.rank2 import _ClosedFormContext, _closed_form_value, _stationarity_quartic, f_objective
 from gme.wmax import GOLDEN_TOL
 
 from conftest import golden_section_min, rng_for
@@ -241,9 +240,9 @@ class TestScanGlobalMin:
         with pytest.raises(gme.ValidationError):
             gme.scan_global_min(16)
 
-    @pytest.mark.parametrize("resolution", [32.5, "64", None])
+    @pytest.mark.parametrize("resolution", [32.5, "64", None, True])
     def test_rejects_non_integer_resolution(self, resolution):
-        with pytest.raises(gme.ValidationError):
+        with pytest.raises(gme.ValidationError, match="integer"):
             gme.scan_global_min(resolution)
 
     def test_resolution_cap_raises_before_allocating(self):
@@ -359,40 +358,59 @@ class TestUniqueness:
         values = [gme.uniqueness_bound(float(x)) for x in xs]
         assert all(b > a for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("x1", [0.0, 0.01, 0.3, 0.7, 2.0 * math.sqrt(2.0) / 3.0])
+    def test_bound_is_attained_by_the_w_product(self, x1):
+        """The bound is a quarter of the overlap functional at W's closest
+        product, so the overlap at (x1, 0, -1/3) is at least the bound."""
+        state = gme.RankTwoCanonical(QUARTER, QUARTER, [x1, 0.0, -1.0 / 3.0])
+        attained = 0.25 * f_objective(state, wmax._W_PRODUCT)
+        assert abs(gme.uniqueness_bound(x1) - attained) <= 2.3e-16
+        assert gme.g_numeric(state) >= attained - 1e-15
+
+    @pytest.mark.parametrize("x1", [math.nan, math.inf, -0.1, 1.5])
+    def test_bound_rejects_x1_outside_unit_interval(self, x1):
+        with pytest.raises(gme.ValidationError, match="x1 must lie in"):
+            gme.uniqueness_bound(x1)
+
     def test_certificate(self):
         assert gme.verify_w_uniqueness() is True
 
-    @staticmethod
-    def recorded(monkeypatch, tilt=0.0):
-        """Record the certificate's states and stacked solves; add ``tilt`` to
-        the overlap functional's maximum of every state with x2 != 0."""
-        states, stacks, build, solve = [], [], wmax._functional_matrix, wmax.max_on_sphere
+    def test_certificate_calls_no_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the certificate called max_on_sphere")
 
-        def matrix(state):
-            states.append(state)
-            return build(state)
-
-        def stacked(m):
-            stacks.append(m)
-            values, pair = solve(m)
-            rotated = np.array([state.x[1] != 0.0 for state in states])
-            return values + 4.0 * tilt * rotated, pair
-
-        monkeypatch.setattr(wmax, "_functional_matrix", matrix)
-        monkeypatch.setattr(wmax, "max_on_sphere", stacked)
-        return states, stacks
-
-    def test_certificate_solves_each_state_once(self, monkeypatch):
-        states, stacks = self.recorded(monkeypatch)
+        for module in (gme._optim, gme.rank2, gme.oracle):
+            monkeypatch.setattr(module, "max_on_sphere", fail)
         assert wmax.verify_w_uniqueness() is True
-        assert len(states) == 20
-        assert len({tuple(state.x) for state in states}) == 20
-        [stack] = stacks
-        assert stack.shape == (20, 4, 4)
-        values = 0.25 * max_on_sphere(stack)[0]
-        assert values.tolist() == [gme.g_numeric(state) for state in states]
 
     def test_certificate_rejects_a_rotation_dependence(self, monkeypatch):
-        states, _ = self.recorded(monkeypatch, tilt=1e-7)
+        """A density matrix tilted by 1e-7 at any one rotated state breaks check (b)."""
+        build = wmax.rank2_to_matrix
+        for radius, angle in wmax._ROTATIONS:
+            target = (radius * math.cos(angle), radius * math.sin(angle))
+            tilted = []
+
+            def tilt(state):
+                rho = build(state)
+                if state.x[1] != 0.0 and tuple(state.x[:2]) == target:
+                    tilted.append(state)
+                    rho = rho + 1e-7 * np.diag([1.0, -1.0, 0.0, 0.0])
+                return rho
+
+            monkeypatch.setattr(wmax, "rank2_to_matrix", tilt)
+            assert wmax.verify_w_uniqueness() is False
+            assert len(tilted) == 1
+
+    @pytest.mark.parametrize(
+        "x1", [x1 for x1 in wmax.UNIQUENESS_X1 if x1 <= wmax._X1_PHYSICAL_MAX]
+    )
+    def test_certificate_rejects_a_bound_above_the_overlap(self, monkeypatch, x1):
+        """Raising the bound by 1e-12 at one physical sample breaks check (a')."""
+        bound = wmax.uniqueness_bound
+        monkeypatch.setattr(wmax, "uniqueness_bound", lambda v: bound(v) + 1e-12 * (v == x1))
         assert wmax.verify_w_uniqueness() is False
-        assert sum(state.x[1] != 0.0 for state in states) == 9
+
+    def test_certificate_rejects_w_min_above_a_bound(self, monkeypatch):
+        """A W value no lower than the bound at the first sample breaks check (a)."""
+        monkeypatch.setattr(wmax, "W_MIN", gme.uniqueness_bound(wmax.UNIQUENESS_X1[0]))
+        assert wmax.verify_w_uniqueness() is False
