@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.optimize import minimize
 import gme
 from gme._linalg import bloch_of_spinor, spinor_from_bloch
 from gme._rng import restart_stream
+from gme.oracle import _SYM_BLOCK, _SYM_GRID, _SYM_STARTS, _newton_polish
 from gme.states import BlochVector, GmResult, sqrt_binomials, sym3q_to_dicke
 
 from conftest import (
@@ -455,6 +457,75 @@ class TestNewtonSymmetricOracle:
             warnings.simplefilter("error")
             got = gme.gm_symmetric_oracle(st).G_squared
         assert abs(got - _reference_symmetric_oracle(st).G_squared) <= 1e-12
+
+
+def _whole_grid_symmetric_oracle(state: gme.SymmetricDickeState) -> GmResult:
+    """The symmetric oracle with its former start selection: the whole 1024x1024
+    grid held at once, its block maxima taken over the strided axes and each
+    start's best cell found by fancy indexing; the polish is the package's."""
+    n = state.N
+    m = np.arange(n + 1)
+    coeff = state.amplitudes * sqrt_binomials(n)
+    alphas = (np.arange(_SYM_GRID) + 0.5) * (0.5 * math.pi / _SYM_GRID)
+    phases = np.arange(_SYM_GRID) * (2.0 * math.pi / _SYM_GRID)
+    basis = np.cos(alphas)[:, None] ** (n - m) * np.sin(alphas)[:, None] ** m
+    phase_mat = coeff[:, None] * np.exp(-1j * m[:, None] * phases[None, :])
+    grid = (basis @ phase_mat.real) ** 2 + (basis @ phase_mat.imag) ** 2
+
+    side, block = _SYM_GRID // _SYM_BLOCK, _SYM_BLOCK
+    blocks = grid.reshape(side, block, side, block)
+    image = blocks.max(axis=(1, 3))
+    peak = image >= 0.25 * image.max()
+    padded = np.pad(image, ((1, 1), (0, 0)), constant_values=-1.0)
+    for di, dj in np.ndindex(3, 3):
+        peak &= image >= np.roll(padded[di : di + side], dj - 1, axis=1)
+    order = np.argsort(-image[peak], kind="stable")[:_SYM_STARTS]
+    rows, cols = np.array(np.nonzero(peak))[:, order]
+    i, j = np.divmod(blocks[rows, :, cols, :].reshape(len(rows), -1).argmax(axis=1), block)
+    alpha, phase = alphas[rows * block + i], phases[cols * block + j]
+    x = np.stack([np.cos(alpha), np.exp(-1j * phase) * np.sin(alpha)], axis=1)
+
+    value = _newton_polish(coeff, x)
+    best = int(np.argmax(value))
+    bloch = BlochVector(np.array(bloch_of_spinor(x[best].conj())))
+    return GmResult.from_overlap(float(value[best]), closest_product=(bloch,) * n, method="oracle")
+
+
+def _stripe_cases():
+    yield from _symmetric_families()
+    for name, st, _ in _known_answers():
+        yield name, st
+    yield "pole", sym3q_to_dicke(_POLE_STATE)
+    yield "flat-200", _dicke(np.ones(201))
+    yield "complex-200", _random_complex_dicke(5400, 200)
+    sparse = np.zeros(601)
+    sparse[1], sparse[200] = 1.0, 0.5
+    yield "sparse-600", _dicke(sparse)
+
+
+class TestStripedSymmetricScan:
+    """The stripe-by-stripe scan against the whole-grid scan it replaced, and
+    the memory a call adds."""
+
+    def test_matches_whole_grid_bitwise(self):
+        for name, st in _stripe_cases():
+            got, want = gme.gm_symmetric_oracle(st), _whole_grid_symmetric_oracle(st)
+            assert got.G_squared == want.G_squared, name
+            assert len(got.closest_product) == len(want.closest_product) == st.N, name
+            for a, b in zip(got.closest_product, want.closest_product):
+                assert np.array_equal(a.s, b.s), name
+
+    def test_call_never_holds_the_grid(self):
+        # the whole float64 grid alone is 8 MiB
+        st = _random_complex_dicke(5500, 20)
+        gme.gm_symmetric_oracle(st)
+        tracemalloc.start()
+        try:
+            gme.gm_symmetric_oracle(st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestMixedOracle:
