@@ -13,10 +13,10 @@ converges freezes and leaves the stack.  A chunk's stacked arrays hold at most
 2**17 complex amplitudes (2 MiB), which bounds the memory a solve adds at any
 qubit count.
 
-The symmetric oracle scans its 1024x1024 grid in stripes of 16 angle rows, one
-row of its block image at a time, and never holds the grid (8 MiB) whole: a
-call adds about 40 KiB per Dicke coefficient for its angle and phase tables and
-0.6 MiB besides, 1.4 MiB at N = 20 and 80 MiB at N = 2000.
+The symmetric oracle's grid has 16 ceil(sqrt N) angle rows and a power of two
+of at least four times as many phases, so a cell shrinks like 1/sqrt(N) as the
+overlap's peaks do.  Each row's phase sums are one FFT, a few rows at a time;
+the float grid a call holds is 0.3 MiB at N = 20 and 23 MiB at N = 2000.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ DEFAULT_SEED = 42
 # the pure oracle keeps every restart's best spinors, restarts x n x 2 complex:
 # 40 MiB for 20 qubits at the cap
 RESTART_CAP = 1 << 16
-# amplitudes in one stacked array of a chunk of pure-oracle restarts; a chunk
-# of n-qubit restarts holds max(1, _CHUNK_AMPLITUDES >> n) of them
+# complex values in one chunk: of n-qubit pure-oracle restarts, max(1,
+# _CHUNK_AMPLITUDES >> n) of them; of symmetric-oracle grid rows, one FFT's output
 _CHUNK_AMPLITUDES = 1 << 17
-# symmetric oracle: grid side, block side of its start image, starts, Newton rounds;
-# shortest step, freezing gain (of |p|) and weak-axis curvature floor (of N)
-_SYM_GRID, _SYM_BLOCK, _SYM_STARTS, _SYM_ROUNDS = 1024, 16, 8, 50
-_SYM_MIN_STEP, _SYM_GAIN_TOL, _SYM_WEAK_FLOOR = 1e-10, 4e-16, 1e-10
+# symmetric oracle: angle rows per ceil(sqrt N), starts per run of tied peaks, Newton
+# rounds; tie width (of the top cell), shortest step, freezing gain (of |p|), weak-axis
+# curvature floor (of N)
+_SYM_CELLS_PER_SQRT_N, _SYM_STARTS, _SYM_ROUNDS = 16, 8, 50
+_SYM_TIE, _SYM_MIN_STEP, _SYM_GAIN_TOL, _SYM_WEAK_FLOOR = 1e-12, 1e-10, 4e-16, 1e-10
 
 
 @dataclass(frozen=True)
@@ -249,55 +250,52 @@ def gm_symmetric_oracle(
 ) -> GmResult:
     """Maximal overlap of a symmetric state with symmetric product states.
 
-    Scans |p| (the overlap with the product of ``conj(x)``) on a dense
-    1024x1024 grid of ``x = (cos alpha, e^(-i phase) sin alpha)``, alpha at
-    polar midpoints.  The 8 highest 8-neighbour local maxima (periodic in
-    phase) of the grid's 64x64 image of 16x16 block maxima start at the best
-    cell of their block; Newton steps in the pole-free tangent chart polish
-    them together, and the best wins.
+    Scans |p| (the overlap with the product of ``conj(x)``) on a grid of
+    ``x = (cos alpha, e^(-i phase) sin alpha)``: ``16 ceil(sqrt N)`` rows of
+    alpha at polar midpoints and a power of two of at least four times as many
+    phases, each row's phase sums one FFT of ``coeff_m cos^(N-m) sin^m``.
+    Every 8-neighbour local maximum of the grid (periodic in phase) within 1%
+    of the top cell starts Newton steps in the pole-free tangent chart, except
+    that of a run of peaks tied to rounding (a ring of maxima, a pole row) only
+    the first 8 start.  The best polished value wins.
 
-    The grid is scanned in stripes of 16 alpha rows, each one row of the
-    image, and is never held whole: a stripe keeps only its blocks' maxima
-    and first best cells, row-major within the block.  A call adds about
-    40 KiB per coefficient and 0.6 MiB besides (1.4 MiB at N = 20).
+    A call holds the float grid, 8 bytes a cell (0.3 MiB at N = 20, 23 MiB at
+    N = 2000), and builds it a few rows at a time.
     """
     del cfg  # deterministic; kept for signature symmetry with the pure oracle
     n = state.N
     m = np.arange(n + 1)
     coeff = state.amplitudes * sqrt_binomials(n)
-    alphas = (np.arange(_SYM_GRID) + 0.5) * (0.5 * math.pi / _SYM_GRID)
-    phases = np.arange(_SYM_GRID) * (2.0 * math.pi / _SYM_GRID)
-    basis = np.cos(alphas)[:, None] ** (n - m) * np.sin(alphas)[:, None] ** m
-    phase_mat = coeff[:, None] * np.exp(-1j * m[:, None] * phases[None, :])
-    # contiguous parts: a product with a strided view copies it, once per stripe
-    real, imag = phase_mat.real.copy(), phase_mat.imag.copy()
+    rows = _SYM_CELLS_PER_SQRT_N * (math.isqrt(n - 1) + 1)
+    # cols >= 64 sqrt(N) >= N + 1 for every N up to DICKE_QUBIT_CAP: the FFT never folds
+    cols = 1 << (4 * rows - 1).bit_length()
+    alphas = (np.arange(rows) + 0.5) * (0.5 * math.pi / rows)
+    image = np.empty((rows, cols))
+    chunk = max(1, _CHUNK_AMPLITUDES // cols)
+    for lo in range(0, rows, chunk):
+        alpha = alphas[lo : lo + chunk, None]
+        # cos^(N-m) sin^m from logarithms: one exp a term, where two powers cost six times as much
+        terms = np.exp((n - m) * np.log(np.cos(alpha)) + m * np.log(np.sin(alpha)))
+        sums = np.fft.fft(coeff * terms, cols)
+        image[lo : lo + chunk] = sums.real**2 + sums.imag**2
 
-    # one stripe of `block` alpha rows is one row of the block image: keep each
-    # block's maximum and its first best cell in row-major (i, j) order
-    side, block = _SYM_GRID // _SYM_BLOCK, _SYM_BLOCK
-    image = np.empty((side, side))
-    best_cell = np.empty((side, side), dtype=np.intp)
-    for row in range(side):
-        stripe = basis[row * block : (row + 1) * block]
-        # |p|^2 from two real products; a real-by-complex one runs in complex arithmetic
-        g = stripe @ real
-        g *= g
-        im = stripe @ imag
-        im *= im
-        g += im
-        cells = g.reshape(block, side, block).transpose(1, 0, 2).reshape(side, block * block)
-        best_cell[row] = cells.argmax(axis=1)
-        image[row] = np.take_along_axis(cells, best_cell[row, :, None], axis=1)[:, 0]
-    # from a maximum to its nearest cell (d < 1.7e-3) |p| falls by at most
-    # exp(-N d^2) > 0.99 at N <= 2000: no block under half the best |p| holds one
-    peak = image >= 0.25 * image.max()
-    padded = np.pad(image, ((1, 1), (0, 0)), constant_values=-1.0)
+    # a maximum's nearest cell is within d <= (pi / 4 rows) sqrt(1 + 1/4) < 0.055 / sqrt(N)
+    # (the phase metric is sin alpha cos alpha <= 1/2), where |p|^2 is above exp(-2 N d^2)
+    # > 0.99 of the maximum (curvature at most 2N there): the peak that cell climbs to
+    # reads at least 0.99 of the top cell
+    top = image.max()
+    i, j = np.nonzero(image >= 0.99 * top)
+    value = image[i, j]
     for di, dj in np.ndindex(3, 3):
-        peak &= image >= np.roll(padded[di : di + side], dj - 1, axis=1)
-    order = np.argsort(-image[peak], kind="stable")[:_SYM_STARTS]
-    rows, cols = np.array(np.nonzero(peak))[:, order]
-    i, j = np.divmod(best_cell[rows, cols], block)
-    alpha, phase = alphas[rows * block + i], phases[cols * block + j]
+        # a row past the edge clips to the cell's own row, which the test meets anyway
+        peak = value >= image[np.clip(i + di - 1, 0, rows - 1), (j + dj - 1) % cols]
+        i, j, value = i[peak], j[peak], value[peak]
+    order = np.argsort(-value, kind="stable")
+    i, j, value = i[order], j[order], value[order]
+    # a peak with _SYM_STARTS higher ones within _SYM_TIE of it ties them to rounding
+    # (a ring of maxima, a pole row) and adds no start
+    keep = np.arange(len(value)) - np.searchsorted(-value, -value - _SYM_TIE * top) < _SYM_STARTS
+    alpha, phase = alphas[i[keep]], j[keep] * (2.0 * math.pi / cols)
     x = np.stack([np.cos(alpha), np.exp(-1j * phase) * np.sin(alpha)], axis=1)
 
     value = _newton_polish(coeff, x)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 import warnings
@@ -9,7 +10,7 @@ from scipy.optimize import minimize
 import gme
 from gme._linalg import bloch_of_spinor, spinor_from_bloch
 from gme._rng import restart_stream
-from gme.oracle import _SYM_BLOCK, _SYM_GRID, _SYM_STARTS, _newton_polish
+from gme.oracle import _newton_polish
 from gme.states import BlochVector, GmResult, sqrt_binomials, sym3q_to_dicke
 
 from conftest import (
@@ -404,14 +405,19 @@ def _known_answers():
 
 
 def _attained(state: gme.SymmetricDickeState, result: GmResult) -> float:
-    """|<a|^(x)N |psi>|^2 for the reported closest product, in plain numpy."""
+    """|<a|^(x)N |psi>|^2 for the reported closest product, in Dicke form:
+    sum_m a_m sqrt(C(N, m)) cos^(N-m)(theta/2) (e^(-i phi) sin(theta/2))^m, with
+    exact binomials and each part of the sum added by ``math.fsum``.  (A dense
+    2^N-term ``vdot`` is off by about 1e-12 at N = 20.)"""
     s = result.closest_product[0].s
-    polar, azimuth = np.arctan2(np.hypot(s[0], s[1]), s[2]), np.arctan2(s[1], s[0])
-    spinor = np.array([np.cos(polar / 2), np.exp(1j * azimuth) * np.sin(polar / 2)])
-    product = spinor
-    for _ in range(state.N - 1):
-        product = np.kron(product, spinor)
-    return abs(np.vdot(product, gme.dicke_to_dense(state).amplitudes)) ** 2
+    half, azimuth = 0.5 * math.atan2(math.hypot(s[0], s[1]), s[2]), math.atan2(s[1], s[0])
+    n = state.N
+    terms = [
+        complex(a) * math.sqrt(math.comb(n, m))
+        * cmath.rect(math.cos(half) ** (n - m) * math.sin(half) ** m, -m * azimuth)
+        for m, a in enumerate(state.amplitudes)
+    ]
+    return abs(complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))) ** 2
 
 
 class TestNewtonSymmetricOracle:
@@ -460,26 +466,27 @@ class TestNewtonSymmetricOracle:
 
 
 def _whole_grid_symmetric_oracle(state: gme.SymmetricDickeState) -> GmResult:
-    """The symmetric oracle with its former start selection: the whole 1024x1024
-    grid held at once, its block maxima taken over the strided axes and each
-    start's best cell found by fancy indexing; the polish is the package's."""
+    """The symmetric oracle with its former fixed grid and start selection: the
+    whole 1024x1024 grid from two matrix products, the 8 highest local maxima of
+    its 64x64 image of 16x16 block maxima, each at its block's best cell; the
+    polish is the package's."""
     n = state.N
     m = np.arange(n + 1)
     coeff = state.amplitudes * sqrt_binomials(n)
-    alphas = (np.arange(_SYM_GRID) + 0.5) * (0.5 * math.pi / _SYM_GRID)
-    phases = np.arange(_SYM_GRID) * (2.0 * math.pi / _SYM_GRID)
+    alphas = (np.arange(1024) + 0.5) * (0.5 * math.pi / 1024)
+    phases = np.arange(1024) * (2.0 * math.pi / 1024)
     basis = np.cos(alphas)[:, None] ** (n - m) * np.sin(alphas)[:, None] ** m
     phase_mat = coeff[:, None] * np.exp(-1j * m[:, None] * phases[None, :])
     grid = (basis @ phase_mat.real) ** 2 + (basis @ phase_mat.imag) ** 2
 
-    side, block = _SYM_GRID // _SYM_BLOCK, _SYM_BLOCK
+    side, block = 1024 // 16, 16
     blocks = grid.reshape(side, block, side, block)
     image = blocks.max(axis=(1, 3))
     peak = image >= 0.25 * image.max()
     padded = np.pad(image, ((1, 1), (0, 0)), constant_values=-1.0)
     for di, dj in np.ndindex(3, 3):
         peak &= image >= np.roll(padded[di : di + side], dj - 1, axis=1)
-    order = np.argsort(-image[peak], kind="stable")[:_SYM_STARTS]
+    order = np.argsort(-image[peak], kind="stable")[:8]
     rows, cols = np.array(np.nonzero(peak))[:, order]
     i, j = np.divmod(blocks[rows, :, cols, :].reshape(len(rows), -1).argmax(axis=1), block)
     alpha, phase = alphas[rows * block + i], phases[cols * block + j]
@@ -491,7 +498,7 @@ def _whole_grid_symmetric_oracle(state: gme.SymmetricDickeState) -> GmResult:
     return GmResult.from_overlap(float(value[best]), closest_product=(bloch,) * n, method="oracle")
 
 
-def _stripe_cases():
+def _grid_cases():
     yield from _symmetric_families()
     for name, st, _ in _known_answers():
         yield name, st
@@ -503,29 +510,105 @@ def _stripe_cases():
     yield "sparse-600", _dicke(sparse)
 
 
-class TestStripedSymmetricScan:
-    """The stripe-by-stripe scan against the whole-grid scan it replaced, and
-    the memory a call adds."""
+def _coherent_pair(n: int, first, second, weight: float) -> gme.SymmetricDickeState:
+    """|y1>^(x)N + weight |y2>^(x)N, with y = (cos b, e^(i c) sin b) for the
+    (b, c) pairs ``first`` and ``second``; |p|^2 peaks near both."""
+    m = np.arange(n + 1)
 
-    def test_matches_whole_grid_bitwise(self):
-        for name, st in _stripe_cases():
-            got, want = gme.gm_symmetric_oracle(st), _whole_grid_symmetric_oracle(st)
-            assert got.G_squared == want.G_squared, name
-            assert len(got.closest_product) == len(want.closest_product) == st.N, name
-            for a, b in zip(got.closest_product, want.closest_product):
-                assert np.array_equal(a.s, b.s), name
+    def coherent(b: float, c: float) -> np.ndarray:
+        log_power = (n - m) * math.log(math.cos(b)) + m * math.log(math.sin(b))
+        return sqrt_binomials(n) * np.exp(log_power + 1j * m * c)
 
-    def test_call_never_holds_the_grid(self):
-        # the whole float64 grid alone is 8 MiB
-        st = _random_complex_dicke(5500, 20)
-        gme.gm_symmetric_oracle(st)
-        tracemalloc.start()
-        try:
-            gme.gm_symmetric_oracle(st)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 2**20
+    return _dicke(coherent(*first) + weight * coherent(*second))
+
+
+def _grid_guards():
+    """(id, state): two maxima 2e-4 apart in G^2, the higher at the middle of a
+    cell and the lower at a node of a grid one step too coarse, 8 rows per
+    ceil(sqrt N): its cell near the higher reads about 0.988 of its maximum,
+    under 0.99 of the lower's node, and that grid returns the lower.  The pair
+    at N = 64 is close enough to interfere; its centres were moved until the
+    maxima sat at that cell middle and node.  At N = 1024 they do not interfere,
+    so G^2 = 1 / (2 - 2e-4)."""
+    yield "near-pair-64", _coherent_pair(
+        64, (0.784947700611892, 0.01202941430246664),
+        (1.239923022457146, 0.14728096192451728), 0.9998998079392424,
+    )
+    yield "mid-cell-1024", _coherent_pair(
+        1024, (math.pi / 4, math.pi / 1024),
+        (401 * math.pi / 1024, 600 * math.pi / 1024), math.sqrt(1 - 2e-4),
+    )
+
+
+def _sparse_dicke(n: int, amplitudes: dict) -> gme.SymmetricDickeState:
+    a = np.zeros(n + 1, dtype=complex)
+    a[list(amplitudes)] = list(amplitudes.values())
+    return gme.SymmetricDickeState(n, a)
+
+
+def _many_peak_states():
+    """(id, state, G^2): more than 8 grid peaks within 2e-4 of each other, and a
+    top-8 rule misses the maximum.  At N = 60 the former 1024x1024 grid's 8
+    highest peaks gave 0.08041256649050277; at N = 66 the sized grid has 13 such
+    peaks, and its 8 highest give 0.0652287697065698."""
+    yield "n60", _sparse_dicke(60, {
+        15: -0.45711716685840215 + 0.018449074311243346j,
+        37: 0.20931820403567447 + 0.6101436642891005j,
+        46: 0.5223148772813054 + 0.3190631517085139j,
+    }), 0.08041262423245805
+    yield "n66", _sparse_dicke(66, {
+        35: 0.14954240280962158 + 0.4599794257238139j,
+        45: -0.135822828012068 - 0.5635774595812102j,
+        58: 0.39174426379028626 + 0.5258564784263055j,
+    }), 0.06522879240107819
+
+
+def _check_against_whole_grid(name: str, state: gme.SymmetricDickeState) -> None:
+    got = gme.gm_symmetric_oracle(state).G_squared
+    want = _whole_grid_symmetric_oracle(state).G_squared
+    assert abs(got - want) <= 1e-12 * want, name
+    assert got >= want - 1e-13, name
+
+
+def _traced_peak(state: gme.SymmetricDickeState) -> int:
+    gme.gm_symmetric_oracle(state)
+    tracemalloc.start()
+    try:
+        gme.gm_symmetric_oracle(state)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSymmetricGridScan:
+    """The grid sized from N against the fixed 1024x1024 grid it replaced, the
+    states a coarser grid or a capped start count gets wrong, and the memory a
+    call adds."""
+
+    def test_matches_whole_grid(self):
+        for name, st in _grid_cases():
+            _check_against_whole_grid(name, st)
+
+    @pytest.mark.parametrize(
+        "name, state", list(_grid_guards()), ids=[name for name, _ in _grid_guards()]
+    )
+    def test_resolution_guard(self, name, state):
+        _check_against_whole_grid(name, state)
+
+    @pytest.mark.parametrize(
+        "state, expected", [(st, g2) for _, st, g2 in _many_peak_states()],
+        ids=[name for name, _, _ in _many_peak_states()],
+    )
+    def test_every_near_maximal_peak_starts(self, state, expected):
+        got = gme.gm_symmetric_oracle(state).G_squared
+        assert abs(got - expected) <= 1e-12 * expected
+
+    def test_call_at_20_qubits_stays_under_4_mib(self):
+        assert _traced_peak(_random_complex_dicke(5500, 20)) < 4 * 2**20
+
+    def test_call_at_2000_qubits_stays_under_80_mib(self):
+        # 80 MiB is what the fixed 1024x1024 grid's call held at N = 2000
+        assert _traced_peak(_random_complex_dicke(5600, 2000)) <= 80 * 2**20
 
 
 class TestMixedOracle:
